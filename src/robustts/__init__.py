@@ -18,66 +18,11 @@ Dated-series plumbing lives in :mod:`robustts.series` and
 __version__ = "0.1.0"
 
 from .errors import DataError, NumericalError, RobusttsError
-from .series import (
-    PairedSample,
-    Sample,
-    Series,
-    align_predictive,
-    difference,
-    excess_returns,
-    positive_part,
-    positive_window,
-    simple_returns,
-)
-from .ingest import ingest_counts, ingest_factors, ingest_prices, ingest_rates
-from .unitroot import (
-    LagSelection,
-    UnitRootConfig,
-    UnitRootStats,
-    adf_gls,
-    default_k_max,
-    gls_demean,
-    lr_test,
-    mp_test,
-    mz_msb_mzt,
-    select_lag_maic,
-    unit_root_battery,
-)
-from .bootstrap import (
-    BootstrapResult,
-    SieveModel,
-    UnitRootReport,
-    bootstrap_pvalues,
-    fit_sieve,
-    rademacher,
-    resample_null,
-    unit_root_report,
-)
-from .tailindex import TailCurve, TailFit, hill_estimate, k_grid, rank_size_estimate, tail_curve
-from .regression import (
-    FACTOR_MODELS,
-    CoefficientInference,
-    FactorModelSpec,
-    FactorPanel,
-    GroupInference,
-    HacResult,
-    InferenceReport,
-    OlsFit,
-    PredictiveInference,
-    andrews_bandwidth,
-    classical_tstats,
-    factor_report,
-    group_partition,
-    grouped_ols,
-    grouped_regression,
-    hac_inference,
-    im_tstat,
-    long_run_variance,
-    ols,
-    predictive_report,
-    qs_kernel,
-    significance_stars,
-)
+from .series import PairedSample, Series
+from .unitroot import UnitRootConfig
+from .bootstrap import unit_root_report
+from .tailindex import hill_estimate, k_grid, rank_size_estimate, tail_curve
+from .regression import FactorPanel, factor_report, predictive_report
 
 __all__ = [
     "__version__",
@@ -86,62 +31,13 @@ __all__ = [
     "NumericalError",
     "Series",
     "PairedSample",
-    "Sample",
-    "difference",
-    "simple_returns",
-    "excess_returns",
-    "align_predictive",
-    "positive_part",
-    "positive_window",
-    "ingest_counts",
-    "ingest_prices",
-    "ingest_rates",
-    "ingest_factors",
+    "FactorPanel",
     "UnitRootConfig",
-    "UnitRootStats",
-    "LagSelection",
-    "default_k_max",
-    "gls_demean",
-    "select_lag_maic",
-    "adf_gls",
-    "mz_msb_mzt",
-    "mp_test",
-    "lr_test",
-    "unit_root_battery",
-    "SieveModel",
-    "BootstrapResult",
-    "UnitRootReport",
-    "fit_sieve",
-    "rademacher",
-    "resample_null",
-    "bootstrap_pvalues",
     "unit_root_report",
-    "TailFit",
-    "TailCurve",
     "hill_estimate",
     "rank_size_estimate",
     "k_grid",
     "tail_curve",
-    "OlsFit",
-    "HacResult",
-    "GroupInference",
-    "FactorModelSpec",
-    "FactorPanel",
-    "FACTOR_MODELS",
-    "CoefficientInference",
-    "InferenceReport",
-    "PredictiveInference",
-    "ols",
-    "classical_tstats",
-    "qs_kernel",
-    "andrews_bandwidth",
-    "long_run_variance",
-    "hac_inference",
-    "significance_stars",
-    "group_partition",
-    "im_tstat",
-    "grouped_ols",
-    "grouped_regression",
     "predictive_report",
     "factor_report",
 ]

@@ -7,13 +7,11 @@ so every bootstrap series has a unit root by construction.  The battery
 rank based: ``p = (1 + #at-least-as-extreme) / (B + 1)``.
 
 Replication ``r`` draws its multipliers from a seed derived only from the
-base seed and ``r``, so results never depend on evaluation order or the
-number of worker threads.
+base seed and ``r``, so results never depend on evaluation order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,6 @@ __all__ = [
     "fit_sieve",
     "rademacher",
     "resample_null",
-    "bootstrap_pvalues",
     "unit_root_report",
     "STAT_TAILS",
 ]
@@ -154,23 +151,11 @@ def _pvalue(stat: float, replicates: np.ndarray, tail: str, B: int) -> float:
     return (1.0 + extreme) / (B + 1.0)
 
 
-def bootstrap_pvalues(
-    y,
-    cfg: UnitRootConfig = UnitRootConfig(),
-    B: int = 999,
-    seed=0,
-    workers: int = 1,
-) -> BootstrapResult:
-    """Sieve wild bootstrap p-values for all six battery statistics."""
-    return unit_root_report(y, cfg, B=B, seed=seed, workers=workers).result
-
-
 def unit_root_report(
     y,
     cfg: UnitRootConfig = UnitRootConfig(),
     B: int = 999,
     seed=0,
-    workers: int = 1,
 ) -> UnitRootReport:
     """Battery plus bootstrap p-values in one pass over the data."""
     if B < MIN_REPLICATIONS:
@@ -185,21 +170,14 @@ def unit_root_report(
             f"need at least {MIN_BATTERY_LENGTH}"
         )
 
-    names = list(STAT_TAILS)
-
-    def one(r: int) -> dict[str, float]:
-        y_star = resample_null(model, seed_parts + (r,))
-        return unit_root_battery(y_star, cfg).as_dict()
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            replicate_stats = list(pool.map(one, range(1, B + 1)))
-    else:
-        replicate_stats = [one(r) for r in range(1, B + 1)]
+    replicate_stats = [
+        unit_root_battery(resample_null(model, seed_parts + (r,)), cfg).as_dict()
+        for r in range(1, B + 1)
+    ]
 
     observed = stats.as_dict()
     p_values = {}
-    for name in names:
+    for name in STAT_TAILS:
         reps = np.array([rs[name] for rs in replicate_stats])
         p_values[name] = _pvalue(observed[name], reps, STAT_TAILS[name], B)
     result = BootstrapResult(p_values=p_values, B=B, seed=seed_parts)

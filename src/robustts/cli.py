@@ -19,12 +19,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .bootstrap import BootstrapResult, UnitRootReport, unit_root_report
+from .bootstrap import MIN_REPLICATIONS, BootstrapResult, UnitRootReport, unit_root_report
 from .errors import DataError, NumericalError
 from .ingest import ingest_counts, ingest_factors, ingest_prices, ingest_rates
 from .regression import factor_report, predictive_report
@@ -39,43 +37,11 @@ from .series import (
     simple_returns,
 )
 from .tailindex import k_grid, tail_curve
-from .unitroot import UnitRootConfig, unit_root_battery
+from .unitroot import unit_root_battery
 
 DEFAULT_B = 999
 DEFAULT_QS = (4, 8, 12, 16)
 DEFAULT_GRID = (0.025, 0.15, 20)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    counts: Path | None = None
-    prices_dir: Path | None = None
-    rates: Path | None = None
-    factors: Path | None = None
-    countries: list[str] = field(default_factory=list)
-    indices: list[str] = field(default_factory=list)
-    regressor: str | None = None
-    target: str = "infections"
-    B: int = 0
-    seed: int | None = None
-    qs: tuple[int, ...] = DEFAULT_QS
-    grid_lo: float = DEFAULT_GRID[0]
-    grid_hi: float = DEFAULT_GRID[1]
-    grid_steps: int = DEFAULT_GRID[2]
-    fmt: str = "csv"
-    out: Path | None = None
-    workers: int = 1
-
-    def validate(self, parser: argparse.ArgumentParser) -> None:
-        if self.B > 0 and self.seed is None:
-            parser.error("--seed is required when B > 0")
-        if self.seed is not None and self.seed < 0:
-            parser.error("--seed must be non-negative")
-        if any(q < 2 for q in self.qs):
-            parser.error("q values must be >= 2")
-        if self.workers < 1:
-            parser.error("--workers must be >= 1")
 
 
 def _parse_qs(raw: str) -> tuple[int, ...]:
@@ -94,20 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"robustts {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bootstrap=False):
+    def output(p):
         p.add_argument("--format", choices=("csv", "md", "tex"), default="csv")
         p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--workers", type=int, default=1)
+
+    def q_list(p):
         p.add_argument("--q", type=_parse_qs, default=DEFAULT_QS, metavar="4,8,12,16")
-        if bootstrap:
-            p.add_argument("--B", type=int, default=DEFAULT_B)
-            p.add_argument("--seed", type=int, default=None)
 
     p_ur = sub.add_parser("unitroot", help="unit-root battery with bootstrap p-values")
     p_ur.add_argument("--counts", type=Path, required=True)
     p_ur.add_argument("--target", choices=("infections", "deaths"), default="infections")
     p_ur.add_argument("--country", type=_parse_list, default=[], action="extend")
-    common(p_ur, bootstrap=True)
+    output(p_ur)
+    p_ur.add_argument("--B", type=int, default=DEFAULT_B)
+    p_ur.add_argument("--seed", type=int, default=None)
 
     p_tail = sub.add_parser("tailindex", help="tail-index curve files")
     p_tail.add_argument("--counts", type=Path, required=True)
@@ -117,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.add_argument("--grid-hi", type=float, default=DEFAULT_GRID[1])
     p_tail.add_argument("--grid-steps", type=int, default=DEFAULT_GRID[2])
     p_tail.add_argument("--out", type=Path, required=True, help="output directory")
-    p_tail.add_argument("--workers", type=int, default=1)
 
     p_pred = sub.add_parser("predict", help="predictive-regression table")
     p_pred.add_argument("--counts", type=Path, required=True)
@@ -128,44 +93,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--index", type=_parse_list, default=[], action="extend")
     p_pred.add_argument("--regressor", choices=("d1", "d2"), default=None,
                         help="difference order of the lagged regressor (default: both)")
-    common(p_pred)
+    output(p_pred)
+    q_list(p_pred)
 
     p_fac = sub.add_parser("factors", help="factor-model table (CAPM..6-F)")
     p_fac.add_argument("--prices-dir", type=Path, required=True)
     p_fac.add_argument("--index", type=_parse_list, default=[], action="extend")
     p_fac.add_argument("--factors", type=Path, required=True)
-    common(p_fac)
+    output(p_fac)
+    q_list(p_fac)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    mapping = {
-        "counts": "counts", "prices_dir": "prices_dir", "rates": "rates",
-        "factors": "factors", "country": "countries", "index": "indices",
-        "regressor": "regressor", "target": "target", "B": "B", "seed": "seed",
-        "q": "qs", "grid_lo": "grid_lo", "grid_hi": "grid_hi",
-        "grid_steps": "grid_steps", "format": "fmt", "out": "out", "workers": "workers",
-    }
-    for arg_name, cfg_name in mapping.items():
-        if hasattr(args, arg_name):
-            setattr(cfg, cfg_name, getattr(args, arg_name))
-    return cfg
+def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    B = getattr(args, "B", 0)
+    seed = getattr(args, "seed", None)
+    if B > 0 and seed is None:
+        parser.error("--seed is required when B > 0")
+    if seed is not None and seed < 0:
+        parser.error("--seed must be non-negative")
+    if any(q < 2 for q in getattr(args, "q", ())):
+        parser.error("q values must be >= 2")
+    if B < 0 or 0 < B < MIN_REPLICATIONS:
+        parser.error(f"--B must be 0 (statistics only) or >= {MIN_REPLICATIONS}")
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(path: Path, cfg: RunConfig, inputs: dict[str, Path]) -> None:
+def _write_manifest(path: Path, args: argparse.Namespace, inputs: dict[str, Path]) -> None:
+    # commands without --format or --q still record the defaults, so manifest
+    # bytes stay comparable across versions
     lines = {
-        "command": cfg.command,
+        "command": args.command,
         "version": __version__,
-        "format": cfg.fmt,
-        "B": str(cfg.B) if cfg.command == "unitroot" else "",
-        "seed": str(cfg.seed) if cfg.seed is not None else "",
-        "q": ",".join(str(q) for q in cfg.qs),
+        "format": getattr(args, "format", "csv"),
+        "B": str(args.B) if args.command == "unitroot" else "",
+        "seed": str(args.seed) if getattr(args, "seed", None) is not None else "",
+        "q": ",".join(str(q) for q in getattr(args, "q", DEFAULT_QS)),
     }
     for label, p in sorted(inputs.items()):
         lines[f"input.{label}.sha256"] = _sha256(p)
@@ -173,13 +140,13 @@ def _write_manifest(path: Path, cfg: RunConfig, inputs: dict[str, Path]) -> None
     path.write_text(text, encoding="utf-8")
 
 
-def _emit(cfg: RunConfig, payload: bytes, inputs: dict[str, Path]) -> None:
-    if cfg.out is None:
+def _emit(args: argparse.Namespace, payload: bytes, inputs: dict[str, Path]) -> None:
+    if args.out is None:
         sys.stdout.write(payload.decode("utf-8"))
         return
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_bytes(payload)
-    _write_manifest(cfg.out.with_name(cfg.out.name + ".manifest"), cfg, inputs)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_bytes(payload)
+    _write_manifest(args.out.with_name(args.out.name + ".manifest"), args, inputs)
 
 
 def _select_countries(counts: dict[str, Series], wanted: list[str]) -> list[str]:
@@ -191,65 +158,53 @@ def _select_countries(counts: dict[str, Series], wanted: list[str]) -> list[str]
     return [c for c in counts if c in set(wanted)]
 
 
-def _run_jobs(jobs, fn, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
-
-
-def cmd_unitroot(cfg: RunConfig) -> None:
-    counts = ingest_counts(cfg.counts)
-    names = _select_countries(counts, cfg.countries)
+def cmd_unitroot(args: argparse.Namespace) -> None:
+    counts = ingest_counts(args.counts)
     jobs = []
-    for name in names:
+    for name in _select_countries(counts, args.country):
         window = positive_window(counts[name])
         for order, label in ((1, "d1"), (2, "d2")):
             jobs.append((f"{name} {label}", difference(window, order)))
 
-    def one(indexed):
-        idx, (label, series) = indexed
-        if cfg.B > 0:
-            report = unit_root_report(
-                series, UnitRootConfig(), B=cfg.B, seed=(cfg.seed, idx), workers=1
-            )
+    entries = []
+    for idx, (label, series) in enumerate(jobs):
+        if args.B > 0:
+            report = unit_root_report(series, B=args.B, seed=(args.seed, idx))
         else:
-            stats = unit_root_battery(series, UnitRootConfig())
+            stats = unit_root_battery(series)
             report = UnitRootReport(stats, BootstrapResult(p_values={}, B=0, seed=()))
-        return label, report
-
-    entries = _run_jobs(list(enumerate(jobs)), one, cfg.workers)
-    table = unitroot_table(entries, title=f"Unit root battery ({cfg.target})")
-    _emit(cfg, render_table(table, cfg.fmt), {"counts": cfg.counts})
+        entries.append((label, report))
+    table = unitroot_table(entries, title=f"Unit root battery ({args.target})")
+    _emit(args, render_table(table, args.format), {"counts": args.counts})
 
 
-def cmd_tailindex(cfg: RunConfig) -> None:
-    counts = ingest_counts(cfg.counts)
-    names = _select_countries(counts, cfg.countries)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def cmd_tailindex(args: argparse.Namespace) -> None:
+    counts = ingest_counts(args.counts)
+    args.out.mkdir(parents=True, exist_ok=True)
     jobs = []
-    for name in names:
+    for name in _select_countries(counts, args.country):
         sample = positive_part(difference(positive_window(counts[name]), 2))
-        grid = k_grid(len(sample), cfg.grid_lo, cfg.grid_hi, cfg.grid_steps)
+        grid = k_grid(len(sample), args.grid_lo, args.grid_hi, args.grid_steps)
         for method in ("hill", "rank_size"):
             jobs.append((name, method, sample, grid))
 
-    def one(job):
-        name, method, sample, grid = job
-        return name, method, emit_tail_curve(tail_curve(sample, method, grid))
-
-    results = _run_jobs(jobs, one, cfg.workers)
-    for name, method, payload in results:
+    curves = [
+        (name, method, emit_tail_curve(tail_curve(sample, method, grid)))
+        for name, method, sample, grid in jobs
+    ]
+    for name, method, payload in curves:
         safe = name.replace(" ", "_").replace("/", "-")
-        (cfg.out / f"{safe}_{cfg.target}_{method}.csv").write_bytes(payload)
-    _write_manifest(cfg.out / "run.manifest", cfg, {"counts": cfg.counts})
+        (args.out / f"{safe}_{args.target}_{method}.csv").write_bytes(payload)
+    _write_manifest(args.out / "run.manifest", args, {"counts": args.counts})
 
 
-def _price_files(cfg: RunConfig) -> list[tuple[str, str, Path]]:
+def _price_files(
+    prices_dir: Path, indices: list[str], countries: list[str]
+) -> list[tuple[str, str, Path]]:
     """(country, index, path) per price file, filtered by the selections."""
-    files = sorted(cfg.prices_dir.glob("*.csv"))
+    files = sorted(prices_dir.glob("*.csv"))
     if not files:
-        raise DataError(f"no price files in {cfg.prices_dir}")
+        raise DataError(f"no price files in {prices_dir}")
     out = []
     for f in files:
         stem = f.stem
@@ -258,9 +213,9 @@ def _price_files(cfg: RunConfig) -> list[tuple[str, str, Path]]:
                 "price file name must be <Country>_<Index>.csv", path=f, field="file name"
             )
         country, index = stem.split("_", 1)
-        if cfg.indices and index not in cfg.indices:
+        if indices and index not in indices:
             continue
-        if cfg.countries and country not in cfg.countries:
+        if countries and country not in countries:
             continue
         out.append((country, index, f))
     if not out:
@@ -268,11 +223,11 @@ def _price_files(cfg: RunConfig) -> list[tuple[str, str, Path]]:
     return out
 
 
-def cmd_predict(cfg: RunConfig) -> None:
-    counts = ingest_counts(cfg.counts)
-    rates = ingest_rates(cfg.rates)
-    selected = _price_files(cfg)
-    orders = {"d1": (1,), "d2": (2,)}.get(cfg.regressor, (1, 2))
+def cmd_predict(args: argparse.Namespace) -> None:
+    counts = ingest_counts(args.counts)
+    rates = ingest_rates(args.rates)
+    selected = _price_files(args.prices_dir, args.index, args.country)
+    orders = {"d1": (1,), "d2": (2,)}.get(args.regressor, (1, 2))
     jobs = []
     for country, index, path in selected:
         if country not in counts:
@@ -280,36 +235,28 @@ def cmd_predict(cfg: RunConfig) -> None:
         excess = excess_returns(simple_returns(ingest_prices(path)), rates)
         window = positive_window(counts[country])
         for order in orders:
-            regressor = difference(window, order)
-            jobs.append((f"{country} {index} d{order}", excess, regressor))
+            jobs.append((f"{country} {index} d{order}", excess, difference(window, order)))
 
-    def one(job):
-        label, excess, regressor = job
-        pair = align_predictive_checked(excess, regressor, cfg.qs)
-        return label, predictive_report(pair, cfg.qs)
-
-    entries = _run_jobs(jobs, one, cfg.workers)
-    table = predict_table(entries, cfg.qs, title=f"Predictive regressions ({cfg.target})")
-    inputs = {"counts": cfg.counts, "rates": cfg.rates}
+    entries = []
+    for label, excess, regressor in jobs:
+        pair = align_predictive(excess, regressor)
+        if 2 * max(args.q) > pair.T:
+            raise DataError(
+                f"sample of {pair.T} paired observations cannot support q={max(args.q)}"
+            )
+        entries.append((label, predictive_report(pair, args.q)))
+    table = predict_table(entries, args.q, title=f"Predictive regressions ({args.target})")
+    inputs = {"counts": args.counts, "rates": args.rates}
     inputs.update({f"prices.{index}": path for _, index, path in selected})
-    _emit(cfg, render_table(table, cfg.fmt), inputs)
+    _emit(args, render_table(table, args.format), inputs)
 
 
-def align_predictive_checked(excess, regressor, qs):
-    pair = align_predictive(excess, regressor)
-    if 2 * max(qs) > pair.T:
-        raise DataError(
-            f"sample of {pair.T} paired observations cannot support q={max(qs)}"
-        )
-    return pair
-
-
-def cmd_factors(cfg: RunConfig) -> None:
-    selected = _price_files(cfg)
+def cmd_factors(args: argparse.Namespace) -> None:
+    selected = _price_files(args.prices_dir, args.index, [])
     if len(selected) != 1:
         raise DataError("factors needs exactly one --index selection")
     country, index, path = selected[0]
-    panel = ingest_factors(cfg.factors)
+    panel = ingest_factors(args.factors)
     returns = simple_returns(ingest_prices(path))
     rf_by_date = dict(zip(panel.dates, panel.columns["RF"]))
     dates, values = [], []
@@ -321,14 +268,14 @@ def cmd_factors(cfg: RunConfig) -> None:
         raise DataError(f"only {len(dates)} return dates covered by the factor panel")
     excess = Series(tuple(dates), values)
 
-    q0 = cfg.qs[0]
+    q0 = args.q[0]
     reports = [
         factor_report(excess, panel, name, qs=(q0,))
         for name in ("CAPM", "3F", "4F", "5F", "6F")
     ]
     schemes = ["classical", "hac", f"grouped-{q0}"]
     table = factor_table(reports, schemes, title=f"Factor models ({country} {index})")
-    _emit(cfg, render_table(table, cfg.fmt), {"factors": cfg.factors, f"prices.{index}": path})
+    _emit(args, render_table(table, args.format), {"factors": args.factors, f"prices.{index}": path})
 
 
 COMMANDS = {
@@ -342,10 +289,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
-    cfg.validate(parser)
+    _validate(args, parser)
     try:
-        COMMANDS[cfg.command](cfg)
+        COMMANDS[args.command](args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,9 +38,12 @@ FACTORS_HEADER = ("date", "Mkt.RF", "SMB", "HML", "MOM", "RMW", "CMA", "RF")
 def _read_rows(path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(str(exc), path=path) from exc
+    if not rows:
+        raise DataError("empty file", path=path)
+    return rows
 
 
 def _parse_date(raw: str, fmt: str, path, line: int, field: str) -> Date:
@@ -71,8 +74,6 @@ def _check_increasing(dates: list[Date], path, line: int) -> None:
 def ingest_counts(path) -> dict[str, Series]:
     """Read a wide cumulative-counts file into one Series per country."""
     rows = _read_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path)
     header = rows[0]
     if tuple(header[:4]) != COUNTS_FIXED_COLUMNS:
         raise DataError(
@@ -123,37 +124,55 @@ def ingest_counts(path) -> dict[str, Series]:
     return {country: Series(tuple(dates), vals) for country, vals in sorted(totals.items())}
 
 
-def ingest_prices(path) -> Series:
-    """Read adjusted closes from a Yahoo-style daily price file."""
+def _read_table(path, header: tuple[str, ...], parse_row, skip=None) -> tuple[list[Date], list]:
+    """Dates and per-row values of a long-format file with ISO dates first.
+
+    Checks the header, the field count of every non-empty row, each date and
+    strict date order.  Rows for which ``skip(row)`` is true are dropped before
+    their date is parsed; ``parse_row(row, line)`` turns each kept row into
+    its values.
+    """
     rows = _read_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path)
-    if tuple(rows[0]) != PRICES_HEADER:
+    if tuple(rows[0]) != header:
         raise DataError(
-            f"malformed header, expected {','.join(PRICES_HEADER)}",
+            f"malformed header, expected {','.join(header)}",
             path=path,
             line=1,
             field=",".join(rows[0]),
         )
+    date_field = header[0]
     dates: list[Date] = []
-    values: list[float] = []
+    values = []
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(PRICES_HEADER):
+        if len(row) != len(header):
             raise DataError(
-                f"expected {len(PRICES_HEADER)} fields, got {len(row)}", path=path, line=line_no
+                f"expected {len(header)} fields, got {len(row)}", path=path, line=line_no
             )
-        adj = row[5].strip()
-        if adj == "" or adj.lower() == "null":
+        if skip is not None and skip(row):
             continue
-        d = _parse_date(row[0], "%Y-%m-%d", path, line_no, "Date")
+        d = _parse_date(row[0], "%Y-%m-%d", path, line_no, date_field)
         if dates and d <= dates[-1]:
             raise DataError(
-                f"dates out of order ({dates[-1]} then {d})", path=path, line=line_no, field="Date"
+                f"dates out of order ({dates[-1]} then {d})",
+                path=path,
+                line=line_no,
+                field=date_field,
             )
         dates.append(d)
-        values.append(_parse_number(adj, path, line_no, "Adj Close"))
+        values.append(parse_row(row, line_no))
+    return dates, values
+
+
+def ingest_prices(path) -> Series:
+    """Read adjusted closes from a Yahoo-style daily price file."""
+    dates, values = _read_table(
+        path,
+        PRICES_HEADER,
+        lambda row, line: _parse_number(row[5].strip(), path, line, "Adj Close"),
+        skip=lambda row: row[5].strip().lower() in ("", "null"),
+    )
     if not dates:
         raise DataError("no usable price rows", path=path)
     return Series(tuple(dates), np.array(values))
@@ -161,30 +180,9 @@ def ingest_prices(path) -> Series:
 
 def ingest_rates(path) -> Series:
     """Read an annual-percent policy rate file."""
-    rows = _read_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path)
-    if tuple(rows[0]) != RATES_HEADER:
-        raise DataError(
-            f"malformed header, expected {','.join(RATES_HEADER)}",
-            path=path,
-            line=1,
-            field=",".join(rows[0]),
-        )
-    dates: list[Date] = []
-    values: list[float] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"expected 2 fields, got {len(row)}", path=path, line=line_no)
-        d = _parse_date(row[0], "%Y-%m-%d", path, line_no, "date")
-        if dates and d <= dates[-1]:
-            raise DataError(
-                f"dates out of order ({dates[-1]} then {d})", path=path, line=line_no, field="date"
-            )
-        dates.append(d)
-        values.append(_parse_number(row[1], path, line_no, "rate_pct"))
+    dates, values = _read_table(
+        path, RATES_HEADER, lambda row, line: _parse_number(row[1], path, line, "rate_pct")
+    )
     if not dates:
         raise DataError("no rate rows", path=path)
     return Series(tuple(dates), np.array(values))
@@ -192,36 +190,15 @@ def ingest_rates(path) -> Series:
 
 def ingest_factors(path) -> FactorPanel:
     """Read a daily factor panel; percent values become fractions."""
-    rows = _read_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path)
-    if tuple(rows[0]) != FACTORS_HEADER:
-        raise DataError(
-            f"malformed header, expected {','.join(FACTORS_HEADER)}",
-            path=path,
-            line=1,
-            field=",".join(rows[0]),
-        )
-    dates: list[Date] = []
-    columns: dict[str, list[float]] = {name: [] for name in FACTORS_HEADER[1:]}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(FACTORS_HEADER):
-            raise DataError(
-                f"expected {len(FACTORS_HEADER)} fields, got {len(row)}", path=path, line=line_no
-            )
-        d = _parse_date(row[0], "%Y-%m-%d", path, line_no, "date")
-        if dates and d <= dates[-1]:
-            raise DataError(
-                f"dates out of order ({dates[-1]} then {d})", path=path, line=line_no, field="date"
-            )
-        dates.append(d)
-        for name, raw in zip(FACTORS_HEADER[1:], row[1:]):
-            columns[name].append(_parse_number(raw, path, line_no, name) / 100.0)
+    names = FACTORS_HEADER[1:]
+
+    def parse_row(row, line):
+        return [_parse_number(raw, path, line, name) / 100.0 for name, raw in zip(names, row[1:])]
+
+    dates, rows = _read_table(path, FACTORS_HEADER, parse_row)
     if not dates:
         raise DataError("no factor rows", path=path)
     return FactorPanel(
         dates=tuple(dates),
-        columns={name: np.array(vals) for name, vals in columns.items()},
+        columns={name: np.array(col) for name, col in zip(names, zip(*rows))},
     )

@@ -219,53 +219,49 @@ def test_c09_partition_law():
     report("C9 partition-law", checked > 3000, f"{checked} (T,q) pairs verified")
 
 
-def _golden_run(tmp: Path, workers: int) -> dict[str, bytes]:
-    tag = f"w{workers}"
-    out = {}
-    ur = tmp / f"ur_{tag}.csv"
-    assert cli_main([
-        "unitroot", "--counts", str(DATA / "counts_infections.csv"),
-        "--B", "199", "--seed", "42", "--workers", str(workers), "--out", str(ur),
-    ]) == 0
-    out["unitroot"] = ur.read_bytes()
-    out["unitroot.manifest"] = (tmp / f"ur_{tag}.csv.manifest").read_bytes()
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
-    pred = tmp / f"pred_{tag}.csv"
-    assert cli_main([
-        "predict", "--counts", str(DATA / "counts_infections.csv"),
-        "--prices-dir", str(DATA / "prices"), "--rates", str(DATA / "rates.csv"),
-        "--workers", str(workers), "--out", str(pred),
-    ]) == 0
-    out["predict"] = pred.read_bytes()
 
-    tails = tmp / f"tails_{tag}"
-    assert cli_main([
-        "tailindex", "--counts", str(DATA / "counts_infections.csv"),
-        "--workers", str(workers), "--out", str(tails),
-    ]) == 0
-    for p in sorted(tails.glob("*.csv")):
-        out[f"tail/{p.name}"] = p.read_bytes()
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
 
-    fac = tmp / f"fac_{tag}.csv"
-    assert cli_main([
-        "factors", "--prices-dir", str(DATA / "prices"), "--index", "AVX",
-        "--factors", str(DATA / "factors.csv"),
-        "--workers", str(workers), "--out", str(fac),
-    ]) == 0
-    out["factors"] = fac.read_bytes()
-    return out
+
+def _golden_run(out: Path) -> dict[str, bytes]:
+    """Run the four fixture commands into ``out``; every file written, by relative path."""
+    commands = [
+        ["unitroot", "--counts", DATA / "counts_infections.csv",
+         "--B", "199", "--seed", "42", "--out", out / "unitroot.csv"],
+        ["predict", "--counts", DATA / "counts_infections.csv",
+         "--prices-dir", DATA / "prices", "--rates", DATA / "rates.csv",
+         "--out", out / "predict.csv"],
+        ["tailindex", "--counts", DATA / "counts_infections.csv", "--out", out / "tailindex"],
+        ["factors", "--prices-dir", DATA / "prices", "--index", "AVX",
+         "--factors", DATA / "factors.csv", "--out", out / "factors.csv"],
+    ]
+    for argv in commands:
+        assert cli_main([str(a) for a in argv]) == 0, argv
+    return _files(out)
 
 
 def test_c10_end_to_end_golden_run(tmp_path):
-    first = _golden_run(tmp_path / "a", workers=1)
-    second = _golden_run(tmp_path / "b", workers=1)
-    threaded = _golden_run(tmp_path / "c", workers=4)
+    """Tables, curve files and manifests match tests/golden/cli byte for byte.
+
+    After an intended output change, regenerate the golden files by hand: run
+    the four commands of ``_golden_run`` from the repository root with each
+    ``--out`` under ``tests/golden/cli``, and say why the bytes changed.
+    """
+    first = _golden_run(tmp_path / "a")
+    second = _golden_run(tmp_path / "b")
+    golden = _files(GOLDEN_CLI)
     same_rerun = first == second
-    same_threads = first == threaded
-    ok = same_rerun and same_threads and len(first) >= 9
+    same_golden = first == golden
+    changed = sorted(k for k in first.keys() | golden.keys() if first.get(k) != golden.get(k))
+    ok = same_rerun and same_golden and len(first) >= 9
     report(
         "C10 golden-run", ok,
-        f"{len(first)} artifacts byte-identical across reruns={same_rerun} and 1-vs-4 workers={same_threads}",
+        f"{len(first)} artifacts byte-identical across reruns={same_rerun} "
+        f"and to tests/golden/cli={same_golden} (differing: {changed})",
     )
 
 

@@ -5,7 +5,6 @@ import robustts.bootstrap as bt
 from robustts.bootstrap import (
     BootstrapResult,
     SieveModel,
-    bootstrap_pvalues,
     fit_sieve,
     rademacher,
     resample_null,
@@ -141,33 +140,32 @@ class TestPvalueRule:
 
 
 class TestBootstrapPvalues:
-    def test_deterministic_and_worker_invariant(self, rng):
+    def test_deterministic(self, rng):
         y = np.cumsum(rng.standard_normal(80))
-        a = bootstrap_pvalues(y, B=99, seed=5)
-        b = bootstrap_pvalues(y, B=99, seed=5)
-        c = bootstrap_pvalues(y, B=99, seed=5, workers=3)
-        assert a.p_values == b.p_values == c.p_values
+        a = unit_root_report(y, B=99, seed=5)
+        b = unit_root_report(y, B=99, seed=5)
+        assert a.p_values == b.p_values
 
     def test_seed_changes_results(self, rng):
         y = np.cumsum(rng.standard_normal(80))
-        a = bootstrap_pvalues(y, B=99, seed=5)
-        b = bootstrap_pvalues(y, B=99, seed=6)
+        a = unit_root_report(y, B=99, seed=5)
+        b = unit_root_report(y, B=99, seed=6)
         assert a.p_values != b.p_values
 
     def test_pvalues_in_range(self, rng):
         y = np.cumsum(rng.standard_normal(70))
-        res = bootstrap_pvalues(y, B=99, seed=1)
+        res = unit_root_report(y, B=99, seed=1)
         for name, p in res.p_values.items():
             assert 1 / 100 <= p <= 1.0, name
 
     def test_all_six_statistics_present(self, rng):
         y = np.cumsum(rng.standard_normal(70))
-        res = bootstrap_pvalues(y, B=99, seed=2)
+        res = unit_root_report(y, B=99, seed=2)
         assert set(res.p_values) == {"LR", "MZa", "MSB", "MZt", "MPt", "ADF"}
 
     def test_b_minimum(self, rng):
         with pytest.raises(ValueError, match=">= 99"):
-            bootstrap_pvalues(np.cumsum(rng.standard_normal(60)), B=50, seed=0)
+            unit_root_report(np.cumsum(rng.standard_normal(60)), B=50, seed=0)
 
     def test_report_bundles_stats(self, rng):
         y = np.cumsum(rng.standard_normal(90))

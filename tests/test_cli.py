@@ -31,6 +31,21 @@ class TestExitCodes:
             run(["unitroot", "--counts", data_dir / "counts_infections.csv", "--B", "99"])
         assert exc.value.code == 2
 
+    def test_negative_b_is_usage_error(self, data_dir, tmp_path):
+        out = tmp_path / "ur.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["unitroot", "--counts", data_dir / "counts_infections.csv",
+                 "--B", "-5", "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_b_below_minimum_is_usage_error(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["unitroot", "--counts", data_dir / "counts_infections.csv",
+                 "--B", "50", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--B" in capsys.readouterr().err
+
     def test_data_error_is_3_and_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n", encoding="utf-8")
