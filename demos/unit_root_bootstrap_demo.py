@@ -11,7 +11,7 @@ battery on each replicate, so the p-values calibrate themselves to the data.
 
 import numpy as np
 
-from robustts import UnitRootConfig, unit_root_report
+from robustts import unit_root_report
 
 rng = np.random.default_rng(7)
 T = 250
@@ -31,10 +31,9 @@ for t in range(1, T):
     level[t] = 0.7 * level[t - 1] + eps[t]
 level += 10.0
 
-cfg = UnitRootConfig()  # c_bar = -7, k_max by the 12*(T/100)^(1/4) rule
-
+# fixed tuning: c_bar = -7, k_max by the 12*(T/100)^(1/4) rule
 for name, series in (("random walk", walk), ("stationary AR(1)", level)):
-    report = unit_root_report(series, cfg, B=999, seed=42)
+    report = unit_root_report(series, B=999, seed=42)
     print(f"\n{name} (T={T}, selected lag {report.stats.lag})")
     print(f"  {'stat':>6s}  {'value':>9s}  p(boot)")
     for stat, value in report.stats.as_dict().items():

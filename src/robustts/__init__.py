@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 from .errors import DataError, NumericalError, RobusttsError
 from .series import PairedSample, Series
-from .unitroot import UnitRootConfig
 from .bootstrap import unit_root_report
 from .tailindex import hill_estimate, k_grid, rank_size_estimate, tail_curve
 from .regression import FactorPanel, factor_report, predictive_report
@@ -32,7 +31,6 @@ __all__ = [
     "Series",
     "PairedSample",
     "FactorPanel",
-    "UnitRootConfig",
     "unit_root_report",
     "hill_estimate",
     "rank_size_estimate",

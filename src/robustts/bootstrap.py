@@ -18,7 +18,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import NumericalError
-from .unitroot import MIN_BATTERY_LENGTH, UnitRootConfig, UnitRootStats, unit_root_battery
+from .unitroot import MIN_BATTERY_LENGTH, UnitRootStats, unit_root_battery
 
 __all__ = [
     "SieveModel",
@@ -151,17 +151,12 @@ def _pvalue(stat: float, replicates: np.ndarray, tail: str, B: int) -> float:
     return (1.0 + extreme) / (B + 1.0)
 
 
-def unit_root_report(
-    y,
-    cfg: UnitRootConfig = UnitRootConfig(),
-    B: int = 999,
-    seed=0,
-) -> UnitRootReport:
+def unit_root_report(y, B: int = 999, seed=0) -> UnitRootReport:
     """Battery plus bootstrap p-values in one pass over the data."""
     if B < MIN_REPLICATIONS:
         raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
     seed_parts = _seed_tuple(seed)
-    stats = unit_root_battery(y, cfg)
+    stats = unit_root_battery(y)
     values = y.values if hasattr(y, "values") else np.asarray(y, dtype=float)
     model = fit_sieve(np.diff(values), stats.lag)
     if len(model.residuals) < MIN_BATTERY_LENGTH:
@@ -171,7 +166,7 @@ def unit_root_report(
         )
 
     replicate_stats = [
-        unit_root_battery(resample_null(model, seed_parts + (r,)), cfg).as_dict()
+        unit_root_battery(resample_null(model, seed_parts + (r,))).as_dict()
         for r in range(1, B + 1)
     ]
 

@@ -117,6 +117,11 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error("q values must be >= 2")
     if B < 0 or 0 < B < MIN_REPLICATIONS:
         parser.error(f"--B must be 0 (statistics only) or >= {MIN_REPLICATIONS}")
+    if args.command == "tailindex":
+        if args.grid_steps < 1:
+            parser.error("--grid-steps must be >= 1")
+        if not 0 < args.grid_lo <= args.grid_hi:
+            parser.error("--grid-lo and --grid-hi need 0 < lo <= hi")
 
 
 def _sha256(path: Path) -> str:
@@ -180,7 +185,6 @@ def cmd_unitroot(args: argparse.Namespace) -> None:
 
 def cmd_tailindex(args: argparse.Namespace) -> None:
     counts = ingest_counts(args.counts)
-    args.out.mkdir(parents=True, exist_ok=True)
     jobs = []
     for name in _select_countries(counts, args.country):
         sample = positive_part(difference(positive_window(counts[name]), 2))
@@ -192,6 +196,7 @@ def cmd_tailindex(args: argparse.Namespace) -> None:
         (name, method, emit_tail_curve(tail_curve(sample, method, grid)))
         for name, method, sample, grid in jobs
     ]
+    args.out.mkdir(parents=True, exist_ok=True)
     for name, method, payload in curves:
         safe = name.replace(" ", "_").replace("/", "-")
         (args.out / f"{safe}_{args.target}_{method}.csv").write_bytes(payload)
@@ -273,8 +278,7 @@ def cmd_factors(args: argparse.Namespace) -> None:
         factor_report(excess, panel, name, qs=(q0,))
         for name in ("CAPM", "3F", "4F", "5F", "6F")
     ]
-    schemes = ["classical", "hac", f"grouped-{q0}"]
-    table = factor_table(reports, schemes, title=f"Factor models ({country} {index})")
+    table = factor_table(reports, q0, title=f"Factor models ({country} {index})")
     _emit(args, render_table(table, args.format), {"factors": args.factors, f"prices.{index}": path})
 
 
@@ -292,10 +296,7 @@ def main(argv=None) -> int:
     _validate(args, parser)
     try:
         COMMANDS[args.command](args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

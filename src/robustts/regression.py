@@ -27,7 +27,6 @@ __all__ = [
     "OlsFit",
     "HacResult",
     "GroupInference",
-    "FactorModelSpec",
     "FactorPanel",
     "FACTOR_MODELS",
     "CoefficientInference",
@@ -43,7 +42,6 @@ __all__ = [
     "group_partition",
     "im_tstat",
     "grouped_ols",
-    "grouped_regression",
     "predictive_report",
     "factor_report",
 ]
@@ -114,22 +112,13 @@ class GroupInference:
             raise ValueError("df must equal q - 1")
 
 
-@dataclass(frozen=True)
-class FactorModelSpec:
-    """A named factor set; column order follows the canonical table rows."""
-
-    name: str
-    factors: tuple[str, ...]
-
-
-FACTOR_ROW_ORDER = ("Mkt.RF", "SMB", "HML", "MOM", "RMW", "CMA")
-
-FACTOR_MODELS = {
-    "CAPM": FactorModelSpec("CAPM", ("Mkt.RF",)),
-    "3F": FactorModelSpec("3F", ("Mkt.RF", "SMB", "HML")),
-    "4F": FactorModelSpec("4F", ("Mkt.RF", "SMB", "HML", "MOM")),
-    "5F": FactorModelSpec("5F", ("Mkt.RF", "SMB", "HML", "RMW", "CMA")),
-    "6F": FactorModelSpec("6F", ("Mkt.RF", "SMB", "HML", "MOM", "RMW", "CMA")),
+# model name -> factor columns, in the canonical table row order
+FACTOR_MODELS: dict[str, tuple[str, ...]] = {
+    "CAPM": ("Mkt.RF",),
+    "3F": ("Mkt.RF", "SMB", "HML"),
+    "4F": ("Mkt.RF", "SMB", "HML", "MOM"),
+    "5F": ("Mkt.RF", "SMB", "HML", "RMW", "CMA"),
+    "6F": ("Mkt.RF", "SMB", "HML", "MOM", "RMW", "CMA"),
 }
 
 
@@ -343,12 +332,6 @@ def grouped_ols(X, y, q: int) -> tuple[GroupInference, ...]:
     return tuple(im_tstat(estimates[:, i]) for i in range(k))
 
 
-def grouped_regression(pair: PairedSample, q: int) -> GroupInference:
-    """Grouped t inference on the slope of a predictive pair."""
-    X = np.column_stack([np.ones(pair.T), pair.x])
-    return grouped_ols(X, pair.y, q)[1]
-
-
 @dataclass(frozen=True)
 class PredictiveInference:
     """One predictive-regression row: grouped slope t per q, plus HAC."""
@@ -430,29 +413,24 @@ def _align_panel(excess: Series, panel: FactorPanel, names) -> tuple[np.ndarray,
     return X, y, len(rows)
 
 
-def factor_report(
-    excess: Series,
-    panel: FactorPanel,
-    model: FactorModelSpec | str,
-    qs=(4,),
-) -> InferenceReport:
+def factor_report(excess: Series, panel: FactorPanel, model: str, qs=(4,)) -> InferenceReport:
     """Estimate one factor model on excess returns with all three schemes.
 
     Rows come out in canonical factor order with the intercept reported last
     as ``Alpha``.  Requested factors missing from the panel are an error.
     """
-    spec = FACTOR_MODELS[model] if isinstance(model, str) else model
-    missing = [n for n in spec.factors if n not in panel.columns]
+    factors = FACTOR_MODELS[model]
+    missing = [n for n in factors if n not in panel.columns]
     if missing:
-        raise DataError(f"factor panel lacks column(s) {', '.join(missing)} for model {spec.name}")
-    X, y, T = _align_panel(excess, panel, spec.factors)
+        raise DataError(f"factor panel lacks column(s) {', '.join(missing)} for model {model}")
+    X, y, T = _align_panel(excess, panel, factors)
     fit = ols(X, y)
     classical_t, classical_p = classical_tstats(fit)
     hac = hac_inference(fit)
     grouped_by_q = {int(q): grouped_ols(X, y, int(q)) for q in qs}
 
-    names = list(spec.factors) + ["Alpha"]
-    order = list(range(1, len(spec.factors) + 1)) + [0]
+    names = list(factors) + ["Alpha"]
+    order = list(range(1, len(factors) + 1)) + [0]
     coefficients = []
     for name, idx in zip(names, order):
         coefficients.append(
@@ -467,4 +445,4 @@ def factor_report(
                 grouped={q: g[idx] for q, g in grouped_by_q.items()},
             )
         )
-    return InferenceReport(model=spec.name, T=T, coefficients=tuple(coefficients))
+    return InferenceReport(model=model, T=T, coefficients=tuple(coefficients))

@@ -1,9 +1,9 @@
 """Deterministic table model and the csv/md/tex renderers.
 
 Tables are plain grids of pre-formatted strings.  Stacked cells (a statistic
-with its bracketed p-value beneath, or a coefficient with several t-statistic
-lines) are realised as extra physical rows whose label column is empty, the
-same two-line row shape the reference tables use.  Rendering the same report
+with its p-value in parentheses beneath, or a coefficient with several
+t-statistic lines) are realised as extra physical rows whose label column is
+empty, the same two-line row shape the reference tables use.  Rendering the same report
 twice yields identical bytes.
 """
 
@@ -28,9 +28,6 @@ __all__ = [
 ]
 
 STAT_COLUMNS = ("LR", "MZa", "MSB", "MZt", "MPt", "ADF")
-
-# bracket styles cycle over the configured scheme list
-_BRACKETS = ("[{}]", "({})", "{{{}}}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def _tex_escape(s: str) -> str:
 
 
 def unitroot_table(entries: list[tuple[str, UnitRootReport]], title: str) -> Table:
-    """Two physical rows per series: the six statistics, p-values in brackets."""
+    """Two physical rows per series: the six statistics, p-values in parentheses."""
     rows = []
     for label, report in entries:
         stats = report.stats.as_dict()
@@ -106,12 +103,11 @@ def predict_table(entries: list[tuple[str, PredictiveInference]], qs, title: str
     return Table(title=title, headers=headers, rows=tuple(rows))
 
 
-def factor_table(reports: list[InferenceReport], schemes: list[str], title: str) -> Table:
+def factor_table(reports: list[InferenceReport], q: int, title: str) -> Table:
     """Factor rows plus Alpha; per cell the estimate with stacked t-statistics.
 
-    ``schemes`` is an ordered list drawn from ``classical``, ``hac`` and
-    ``grouped-<q>``; each renders one bracketed line under the estimate (stars
-    are attached to the HAC line only).
+    Three lines sit under each estimate: ``[classical]``, ``(HAC)`` with its
+    stars, and ``{grouped}`` at ``q`` groups.
     """
     headers = ("",) + tuple(_model_header(r.model) for r in reports)
     row_names = []
@@ -123,37 +119,26 @@ def factor_table(reports: list[InferenceReport], schemes: list[str], title: str)
 
     rows = []
     for name in row_names:
-        value_cells, scheme_cells = [], [[] for _ in schemes]
+        cells = [[], [], [], []]
         for r in reports:
             try:
                 c = r.coefficient(name)
             except KeyError:
-                value_cells.append("")
-                for lines in scheme_cells:
+                for lines in cells:
                     lines.append("")
                 continue
-            value_cells.append(f"{c.estimate:.3f}")
-            for i, scheme in enumerate(schemes):
-                scheme_cells[i].append(_scheme_cell(c, scheme, _BRACKETS[i % len(_BRACKETS)]))
-        rows.append((name,) + tuple(value_cells))
-        for lines in scheme_cells:
+            cells[0].append(f"{c.estimate:.3f}")
+            cells[1].append(f"[{c.classical_t:.3f}]")
+            cells[2].append(f"({c.hac_t:.3f}){c.hac_stars}")
+            cells[3].append(f"{{{c.grouped[q].t_stat:.3f}}}")
+        rows.append((name,) + tuple(cells[0]))
+        for lines in cells[1:]:
             rows.append(("",) + tuple(lines))
     return Table(title=title, headers=headers, rows=tuple(rows))
 
 
 def _model_header(name: str) -> str:
     return name if name == "CAPM" else f"{name[:-1]}-{name[-1]}"
-
-
-def _scheme_cell(coef, scheme: str, bracket: str) -> str:
-    if scheme == "classical":
-        return bracket.format(f"{coef.classical_t:.3f}")
-    if scheme == "hac":
-        return bracket.format(f"{coef.hac_t:.3f}") + coef.hac_stars
-    if scheme.startswith("grouped-"):
-        q = int(scheme.split("-", 1)[1])
-        return bracket.format(f"{coef.grouped[q].t_stat:.3f}")
-    raise ValueError(f"unknown inference scheme {scheme!r}")
 
 
 def emit_tail_curve(curve: TailCurve) -> bytes:

@@ -27,6 +27,9 @@ __all__ = [
     "positive_window",
 ]
 
+# annual percent rates become per-trading-day fractions over this many days
+TRADING_DAYS = 252
+
 
 def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -136,16 +139,14 @@ def simple_returns(prices: Series) -> Series:
     return Series(prices.dates[1:], vals)
 
 
-def excess_returns(returns: Series, annual_rate_pct: Series, day_count: int = 252) -> Series:
+def excess_returns(returns: Series, annual_rate_pct: Series) -> Series:
     """Subtract the per-day risk-free rate from raw returns.
 
     The annual percent rate is forward-filled onto each return date and
-    converted with ``rate/100/day_count``.
+    converted with ``rate/100/TRADING_DAYS``.
     """
-    if day_count <= 0:
-        raise ValueError("day_count must be positive")
     rates = _forward_fill(annual_rate_pct, returns.dates)
-    return Series(returns.dates, returns.values - (rates / 100.0) / day_count)
+    return Series(returns.dates, returns.values - (rates / 100.0) / TRADING_DAYS)
 
 
 def _forward_fill(s: Series, onto: tuple[Date, ...]) -> np.ndarray:

@@ -23,7 +23,6 @@ from .errors import NumericalError
 from .series import Series
 
 __all__ = [
-    "UnitRootConfig",
     "UnitRootStats",
     "LagSelection",
     "default_k_max",
@@ -36,27 +35,11 @@ __all__ = [
     "unit_root_battery",
 ]
 
+# fixed tuning: GLS constant of Elliott, Rothenberg & Stock (1996) and the
+# local-alternative grid c = 0, 0.5, ..., 50 of the LR profile
 DEFAULT_C_BAR = -7.0
 LR_C_GRID = np.arange(0.0, 50.5, 0.5)
 MIN_BATTERY_LENGTH = 25
-
-
-@dataclass(frozen=True)
-class UnitRootConfig:
-    """Tuning for the battery: GLS constant and maximum ADF lag.
-
-    ``k_max=None`` applies the usual rule ``floor(12 * (T/100)^(1/4))``.
-    Deterministics are constant-only (demeaned case) throughout.
-    """
-
-    c_bar: float = DEFAULT_C_BAR
-    k_max: int | None = None
-
-    def __post_init__(self):
-        if not self.c_bar < 0:
-            raise ValueError(f"c_bar must be negative, got {self.c_bar}")
-        if self.k_max is not None and self.k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {self.k_max}")
 
 
 @dataclass(frozen=True)
@@ -256,11 +239,11 @@ def mp_test(y_gls, s2_ar: float, c_bar: float = DEFAULT_C_BAR) -> float:
     return float((c_bar**2 * kappa - c_bar * v[-1] ** 2 / T) / s2_ar)
 
 
-def lr_test(y, c_grid: np.ndarray | None = None) -> float:
+def lr_test(y) -> float:
     """Right-tailed profile quasi-likelihood ratio against local alternatives.
 
     Profiles the Gaussian likelihood of a demeaned AR(1) fit over
-    ``rho = 1 - c/T`` for c on a finite grid (default 0..50 step 0.5) and
+    ``rho = 1 - c/T`` for c on ``LR_C_GRID`` (0..50 step 0.5) and
     compares the maximum with the unit root c = 0.  Always >= 0; large values
     speak against the unit root.
     """
@@ -268,11 +251,8 @@ def lr_test(y, c_grid: np.ndarray | None = None) -> float:
     T = len(v)
     if T < 20:
         raise ValueError(f"need at least 20 observations, got {T}")
-    grid = LR_C_GRID if c_grid is None else np.asarray(c_grid, dtype=float)
-    if len(grid) == 0:
-        raise ValueError("empty c grid")
     u = v - v.mean()
-    rho = 1.0 - grid / T
+    rho = 1.0 - LR_C_GRID / T
     resid = u[1:][None, :] - rho[:, None] * u[:-1][None, :]
     sig2 = np.mean(resid**2, axis=1)
     sig2_null = float(np.mean((u[1:] - u[:-1]) ** 2))
@@ -283,25 +263,24 @@ def lr_test(y, c_grid: np.ndarray | None = None) -> float:
     return float((T - 1) * (math.log(sig2_null) - math.log(best)))
 
 
-def unit_root_battery(y, cfg: UnitRootConfig = UnitRootConfig()) -> UnitRootStats:
+def unit_root_battery(y) -> UnitRootStats:
     """Run the full battery on one series.
 
-    OLS-demeaned data drive the MAIC lag choice; GLS-demeaned data (constant
-    case, ``cfg.c_bar``) feed the ADF, MZ, MSB and MPt statistics, all at the
-    shared selected lag; the LR profile uses the series directly (it demeans
-    internally).
+    OLS-demeaned data drive the MAIC lag choice up to ``default_k_max(T)``;
+    GLS-demeaned data (constant case, ``DEFAULT_C_BAR``) feed the ADF, MZ,
+    MSB and MPt statistics, all at the shared selected lag; the LR profile
+    uses the series directly (it demeans internally).
     """
     v = _values(y)
     T = len(v)
     if T < MIN_BATTERY_LENGTH:
         raise ValueError(f"battery needs at least {MIN_BATTERY_LENGTH} observations, got {T}")
-    k_max = cfg.k_max if cfg.k_max is not None else default_k_max(T)
-    selection = select_lag_maic(v - v.mean(), k_max)
-    v_gls = gls_demean(v, cfg.c_bar)
+    selection = select_lag_maic(v - v.mean(), default_k_max(T))
+    v_gls = gls_demean(v)
     adf_stat, sigma2, lag_sum = _adf_fit(v_gls, selection.k)
     s2 = _s2_ar(sigma2, lag_sum)
     mz_alpha, msb, mz_t = mz_msb_mzt(v_gls, s2)
-    mp_t = mp_test(v_gls, s2, cfg.c_bar)
+    mp_t = mp_test(v_gls, s2)
     lr = lr_test(v)
     return UnitRootStats(
         lr=lr,

@@ -27,7 +27,6 @@ from robustts.regression import (
 )
 from robustts.tailindex import hill_estimate, rank_size_estimate
 from robustts.unitroot import (
-    UnitRootConfig,
     adf_gls,
     default_k_max,
     gls_demean,
@@ -109,13 +108,12 @@ def test_c04_dfgls_null_distribution():
 def test_c05_bootstrap_size_and_power():
     start = time.perf_counter()
     rng = np.random.default_rng(105)
-    cfg = UnitRootConfig()
 
     rejections = {"ADF": 0, "MZt": 0}
     n_size = 500
     for i in range(n_size):
         y = np.cumsum(rng.standard_normal(150))
-        rep = unit_root_report(y, cfg, B=399, seed=(105, i))
+        rep = unit_root_report(y, B=399, seed=(105, i))
         for name in rejections:
             rejections[name] += rep.p_values[name] <= 0.05
     size_adf = rejections["ADF"] / n_size
@@ -128,7 +126,7 @@ def test_c05_bootstrap_size_and_power():
         y = np.zeros(200)
         for t in range(1, 200):
             y[t] = 0.8 * y[t - 1] + e[t]
-        rep = unit_root_report(y, cfg, B=399, seed=(205, i))
+        rep = unit_root_report(y, B=399, seed=(205, i))
         for name in power_hits:
             power_hits[name] += rep.p_values[name] <= 0.05
     power_adf = power_hits["ADF"] / n_power

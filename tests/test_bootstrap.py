@@ -10,7 +10,6 @@ from robustts.bootstrap import (
     resample_null,
     unit_root_report,
 )
-from robustts.unitroot import UnitRootConfig
 
 
 class TestFitSieve:
@@ -169,7 +168,7 @@ class TestBootstrapPvalues:
 
     def test_report_bundles_stats(self, rng):
         y = np.cumsum(rng.standard_normal(90))
-        rep = unit_root_report(y, UnitRootConfig(), B=99, seed=3)
+        rep = unit_root_report(y, B=99, seed=3)
         assert rep.stats.lag >= 0
         assert rep.p_values == rep.result.p_values
 

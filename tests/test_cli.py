@@ -46,6 +46,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--B" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [
+        ["--grid-steps", "0"],
+        ["--grid-lo", "0"],
+        ["--grid-lo", "0.5", "--grid-hi", "0.1"],
+    ])
+    def test_bad_grid_is_usage_error(self, data_dir, tmp_path, capsys, grid):
+        out = tmp_path / "curves"
+        with pytest.raises(SystemExit) as exc:
+            run(["tailindex", "--counts", data_dir / "counts_infections.csv",
+                 "--out", out, *grid])
+        assert exc.value.code == 2
+        assert "--grid-" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_is_3_and_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n", encoding="utf-8")
@@ -61,6 +75,13 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "Atlantis" in capsys.readouterr().err
+
+    def test_tailindex_data_error_leaves_no_out_dir(self, data_dir, tmp_path):
+        out = tmp_path / "curves"
+        code = run(["tailindex", "--counts", data_dir / "counts_infections.csv",
+                    "--country", "Atlantis", "--out", out])
+        assert code == 3
+        assert not out.exists()
 
     def test_numerical_failure_is_4(self, tmp_path, capsys):
         counts = tmp_path / "flat.csv"

@@ -13,7 +13,6 @@ from robustts.regression import (
     factor_report,
     group_partition,
     grouped_ols,
-    grouped_regression,
     hac_inference,
     im_tstat,
     long_run_variance,
@@ -212,8 +211,9 @@ class TestGroupedRegression:
         return PairedSample(y, x, dates, ())
 
     def test_q_one_rejected(self, rng):
+        pair = self.make_pair(rng)
         with pytest.raises(ValueError):
-            grouped_regression(self.make_pair(rng), 1)
+            grouped_ols(design(pair.x), pair.y, 1)
 
     def test_estimates_cluster_near_truth_and_t_grows(self):
         rng = np.random.default_rng(65)
@@ -235,9 +235,9 @@ class TestGroupedRegression:
 
     def test_y_rescaling_leaves_t(self, rng):
         pair = self.make_pair(rng, beta=0.4)
-        a = grouped_regression(pair, 4).t_stat
-        pair2 = PairedSample(3.0 * pair.y, pair.x, pair.dates, ())
-        assert grouped_regression(pair2, 4).t_stat == pytest.approx(a, rel=1e-10)
+        a = grouped_ols(design(pair.x), pair.y, 4)[1].t_stat
+        b = grouped_ols(design(pair.x), 3.0 * pair.y, 4)[1].t_stat
+        assert b == pytest.approx(a, rel=1e-10)
 
 
 class TestEquivariance:
@@ -292,10 +292,10 @@ class TestFactorReport:
         assert alpha.estimate == pytest.approx(0.0, abs=1e-12)
 
     def test_factor_sets(self):
-        assert FACTOR_MODELS["CAPM"].factors == ("Mkt.RF",)
-        assert set(FACTOR_MODELS["4F"].factors) == set(FACTOR_MODELS["3F"].factors) | {"MOM"}
-        assert set(FACTOR_MODELS["6F"].factors) == set(FACTOR_MODELS["5F"].factors) | {"MOM"}
-        assert set(FACTOR_MODELS["5F"].factors) == {"Mkt.RF", "SMB", "HML", "RMW", "CMA"}
+        assert FACTOR_MODELS["CAPM"] == ("Mkt.RF",)
+        assert set(FACTOR_MODELS["4F"]) == set(FACTOR_MODELS["3F"]) | {"MOM"}
+        assert set(FACTOR_MODELS["6F"]) == set(FACTOR_MODELS["5F"]) | {"MOM"}
+        assert set(FACTOR_MODELS["5F"]) == {"Mkt.RF", "SMB", "HML", "RMW", "CMA"}
 
     def test_nested_models_reduce_ssr(self, rng):
         dates, panel = make_panel(rng)
@@ -305,8 +305,7 @@ class TestFactorReport:
         def ssr(model):
             from robustts.regression import _align_panel, ols as _ols
 
-            spec = FACTOR_MODELS[model]
-            X, yy, _ = _align_panel(excess, panel, spec.factors)
+            X, yy, _ = _align_panel(excess, panel, FACTOR_MODELS[model])
             return _ols(X, yy).ssr
 
         assert ssr("3F") >= ssr("4F") - 1e-18

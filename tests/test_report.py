@@ -103,8 +103,7 @@ def sample_tables() -> dict[str, Table]:
     return {
         "unitroot": unitroot_table(_unitroot_entries(), title="Unit root battery (infections)"),
         "predict": predict_table(_predict_entries(), (4, 8, 12, 16), title="Predictive regressions"),
-        "factors": factor_table(_factor_reports(), ["classical", "hac", "grouped-4"],
-                                title="Factor models (Arcadia AVX)"),
+        "factors": factor_table(_factor_reports(), 4, title="Factor models (Arcadia AVX)"),
     }
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from robustts.errors import NumericalError
 from robustts.unitroot import (
-    UnitRootConfig,
     UnitRootStats,
     adf_gls,
     default_k_max,
@@ -176,9 +175,6 @@ def _adf_fit_for_test(v, k):
 
 
 class TestLrTest:
-    def test_degenerate_grid_gives_zero(self, rng):
-        assert lr_test(random_walk(rng, 50), c_grid=np.array([0.0])) == 0.0
-
     def test_stationary_ar1_large(self):
         rng = np.random.default_rng(12)
         hits = sum(lr_test(ar1(rng, 300, 0.5)) > 5 for _ in range(50))
@@ -224,12 +220,6 @@ class TestBattery:
     def test_minimum_length(self, rng):
         with pytest.raises(ValueError, match="at least 25"):
             unit_root_battery(rng.standard_normal(20))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            UnitRootConfig(c_bar=1.0)
-        with pytest.raises(ValueError):
-            UnitRootConfig(k_max=-1)
 
     def test_shared_lag_reported(self, rng):
         y = np.cumsum(ar1(rng, 300, 0.6))
