@@ -6,8 +6,10 @@ so every bootstrap series has a unit root by construction.  The battery
 (including lag re-selection) is recomputed on each replicate and p-values are
 rank based: ``p = (1 + #at-least-as-extreme) / (B + 1)``.
 
-Replication ``r`` draws its multipliers from a seed derived only from the
-base seed and ``r``, so results never depend on evaluation order.
+Replicates are resampled and evaluated in chunks by the batched battery
+kernel ``unitroot._battery_batch``; the chunk size depends only on the series
+length.  Replication ``r`` draws its multipliers from a seed derived only
+from the base seed and ``r``, so results never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import NumericalError
-from .unitroot import MIN_BATTERY_LENGTH, UnitRootStats, unit_root_battery
+from .unitroot import (
+    MIN_BATTERY_LENGTH,
+    UnitRootStats,
+    _battery_batch,
+    _chunk_rows,
+    unit_root_battery,
+)
 
 __all__ = [
     "SieveModel",
@@ -127,6 +135,21 @@ def fit_sieve(dy, p: int) -> SieveModel:
     return SieveModel(phi=tuple(float(c) for c in b[1:]), residuals=resid, p=p)
 
 
+def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
+    """One bootstrap series per seed, stacked as rows; see :func:`resample_null`.
+
+    Rows are filtered and cumulated independently, so row ``i`` equals
+    ``resample_null(model, seeds[i])`` bit for bit.
+    """
+    eps = np.stack([rademacher(seed, len(model.residuals)) for seed in seeds]) * model.residuals
+    if model.p == 0:
+        dstar = eps
+    else:
+        a = np.concatenate(([1.0], -np.asarray(model.phi)))
+        dstar = lfilter([1.0], a, eps, axis=1)
+    return np.cumsum(dstar, axis=1)
+
+
 def resample_null(model: SieveModel, seed) -> np.ndarray:
     """One bootstrap series: wild innovations, AR recolouring, cumulation.
 
@@ -134,13 +157,7 @@ def resample_null(model: SieveModel, seed) -> np.ndarray:
     ``d*_t = sum_j phi_j d*_{t-j} + eps*_t`` from zero pre-sample values, and
     the level series is their cumulative sum (unit root imposed).
     """
-    eps = rademacher(seed, len(model.residuals)) * model.residuals
-    if model.p == 0:
-        dstar = eps
-    else:
-        a = np.concatenate(([1.0], -np.asarray(model.phi)))
-        dstar = lfilter([1.0], a, eps)
-    return np.cumsum(dstar)
+    return _resample_chunk(model, [seed])[0]
 
 
 def _pvalue(stat: float, replicates: np.ndarray, tail: str, B: int) -> float:
@@ -165,15 +182,18 @@ def unit_root_report(y, B: int = 999, seed=0) -> UnitRootReport:
             f"need at least {MIN_BATTERY_LENGTH}"
         )
 
-    replicate_stats = [
-        unit_root_battery(resample_null(model, seed_parts + (r,))).as_dict()
-        for r in range(1, B + 1)
+    rows = _chunk_rows(len(model.residuals))
+    chunks = [
+        _battery_batch(
+            _resample_chunk(model, [seed_parts + (r,) for r in range(lo, min(lo + rows, B + 1))])
+        )
+        for lo in range(1, B + 1, rows)
     ]
 
     observed = stats.as_dict()
     p_values = {}
     for name in STAT_TAILS:
-        reps = np.array([rs[name] for rs in replicate_stats])
+        reps = np.concatenate([chunk[name] for chunk in chunks])
         p_values[name] = _pvalue(observed[name], reps, STAT_TAILS[name], B)
     result = BootstrapResult(p_values=p_values, B=B, seed=seed_parts)
     return UnitRootReport(stats=stats, result=result)

@@ -55,7 +55,8 @@ def _parse_list(raw: str) -> list[str]:
     return [p for p in raw.split(",") if p]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(prog="robustts", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"robustts {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -103,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     output(p_fac)
     q_list(p_fac)
 
-    return parser
+    return parser, sub.choices
 
 
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Range checks argparse cannot express; ``parser`` is the subcommand's."""
     B = getattr(args, "B", 0)
     seed = getattr(args, "seed", None)
     if B > 0 and seed is None:
@@ -291,9 +293,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    _validate(args, parser)
+    _validate(args, commands[args.command])
     try:
         COMMANDS[args.command](args)
     except (DataError, ValueError) as exc:

@@ -122,6 +122,17 @@ class TestResampleNull:
         assert abs(empirical / target - 1.0) < 0.10
 
 
+class TestResampleChunk:
+    @pytest.mark.parametrize("p", [0, 3, 13])
+    def test_rows_equal_resample_null(self, rng, p):
+        model = fit_sieve(rng.standard_t(3, 160), p)
+        seeds = [(7, 2, r) for r in range(1, 41)]
+        chunk = bt._resample_chunk(model, seeds)
+        assert chunk.shape == (len(seeds), len(model.residuals))
+        for row, seed in zip(chunk, seeds):
+            assert np.array_equal(row, resample_null(model, seed))
+
+
 class TestPvalueRule:
     def test_boundary(self):
         reps = np.arange(1.0, 100.0)  # 99 replicates

@@ -9,14 +9,14 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def write_linear_counts(path, n=60):
-    """Counts whose first difference is constant: numerically degenerate."""
+def write_degenerate_counts(path, values):
+    """One country's cumulative counts, chosen to be numerically degenerate."""
     start = date(2020, 1, 22)
-    dates = [start + timedelta(days=i) for i in range(n)]
+    dates = [start + timedelta(days=i) for i in range(len(values))]
     header = "Province/State,Country/Region,Lat,Long," + ",".join(
         f"{d.month}/{d.day}/{d.strftime('%y')}" for d in dates
     )
-    row = ",Flatland,0,0," + ",".join(str(i + 1) for i in range(n))
+    row = ",Flatland,0,0," + ",".join(str(v) for v in values)
     path.write_text(header + "\n" + row + "\n", encoding="utf-8")
 
 
@@ -44,7 +44,9 @@ class TestExitCodes:
             run(["unitroot", "--counts", data_dir / "counts_infections.csv",
                  "--B", "50", "--seed", "1"])
         assert exc.value.code == 2
-        assert "--B" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: robustts unitroot")
+        assert "--B" in err
 
     @pytest.mark.parametrize("grid", [
         ["--grid-steps", "0"],
@@ -57,7 +59,9 @@ class TestExitCodes:
             run(["tailindex", "--counts", data_dir / "counts_infections.csv",
                  "--out", out, *grid])
         assert exc.value.code == 2
-        assert "--grid-" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: robustts tailindex")
+        assert "--grid-" in err
         assert not out.exists()
 
     def test_data_error_is_3_and_names_file(self, tmp_path, capsys):
@@ -84,11 +88,20 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_numerical_failure_is_4(self, tmp_path, capsys):
+        # constant first difference: the lag search is singular
         counts = tmp_path / "flat.csv"
-        write_linear_counts(counts)
+        write_degenerate_counts(counts, [i + 1 for i in range(60)])
         code = run(["unitroot", "--counts", counts, "--B", "99", "--seed", "1"])
         assert code == 4
-        assert "numerical failure" in capsys.readouterr().err
+        assert capsys.readouterr().err == "numerical failure: singular ADF regression\n"
+
+    def test_exact_lag_fit_is_4(self, tmp_path, capsys):
+        # first difference 0, 1, 0, 1, ...: the lag-0 MAIC regression fits exactly
+        counts = tmp_path / "zigzag.csv"
+        write_degenerate_counts(counts, [(i + 1) // 2 for i in range(60)])
+        code = run(["unitroot", "--counts", counts, "--B", "99", "--seed", "1"])
+        assert code == 4
+        assert capsys.readouterr().err == "numerical failure: degenerate ADF regression at lag 0\n"
 
     def test_parse_error_location_reported(self, tmp_path, capsys):
         p = tmp_path / "r.csv"

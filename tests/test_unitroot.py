@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from robustts.errors import NumericalError
 from robustts.unitroot import (
     UnitRootStats,
+    _adf_fit,
+    _battery_batch,
     adf_gls,
     default_k_max,
     gls_demean,
@@ -226,3 +230,81 @@ class TestBattery:
         stats = unit_root_battery(y)
         sel = select_lag_maic(y - y.mean(), default_k_max(len(y)))
         assert stats.lag == sel.k
+
+
+DGPS = ("iid", "t2", "cauchy", "varshift", "ma1")
+
+
+def innovations(rng, dgp, T):
+    """Innovations of the size-study DGPs (MA(1) with theta = -0.8)."""
+    if dgp == "iid":
+        return rng.standard_normal(T)
+    if dgp == "t2":
+        return rng.standard_t(2, T)
+    if dgp == "cauchy":
+        return rng.standard_cauchy(T)
+    if dgp == "varshift":
+        e = rng.standard_normal(T)
+        e[T // 2 :] *= np.sqrt(5.0)
+        return e
+    u = rng.standard_normal(T + 1)
+    return u[1:] - 0.8 * u[:-1]
+
+
+def dgp_stack(T, per_dgp=40):
+    rng = np.random.default_rng(T)
+    return np.array([np.cumsum(innovations(rng, d, T)) for d in DGPS for _ in range(per_dgp)])
+
+
+def reference_battery(v):
+    """Lag and statistics composed from the scalar formula references."""
+    k = select_lag_maic(v - v.mean(), default_k_max(len(v))).k
+    v_gls = gls_demean(v)
+    adf, sigma2, lag_sum = _adf_fit(v_gls, k)
+    s2 = sigma2 / (1.0 - lag_sum) ** 2
+    mz_alpha, msb, mz_t = mz_msb_mzt(v_gls, s2)
+    stats = {"LR": lr_test(v), "MZa": mz_alpha, "MSB": msb, "MZt": mz_t,
+             "MPt": mp_test(v_gls, s2), "ADF": adf, "s2_ar": s2}
+    return k, stats
+
+
+# The kernel sums in another order than the references, so rows agree to
+# rounding, not bit for bit: 1e-12 relative to max(|value|, 1).  The floor
+# matters for LR, (T-1) times a log-ratio whose rounding is absolute near 0.
+TOL = {"rel": 1e-12, "abs": 1e-12}
+
+
+class TestBatteryKernel:
+    @pytest.mark.parametrize("T", [25, 150, 1000])
+    def test_matches_scalar_references(self, T):
+        Y = dgp_stack(T)
+        out = _battery_batch(Y)
+        assert len(np.unique(out["lag"])) > 1  # one stacked ADF fit over mixed lags
+        for i, v in enumerate(Y):
+            lag, ref = reference_battery(v)
+            assert out["lag"][i] == lag, (T, i)
+            for name, value in ref.items():
+                assert out[name][i] == pytest.approx(value, **TOL), (T, i, name)
+
+    @pytest.mark.parametrize("T", [25, 150, 1000])
+    def test_stack_matches_rows_alone(self, T):
+        Y = dgp_stack(T, per_dgp=8)
+        out = _battery_batch(Y)
+        for i, v in enumerate(Y):
+            alone = _battery_batch(v[None, :])
+            for name, col in out.items():
+                assert col[i] == pytest.approx(alone[name][0], **TOL), (T, i, name)
+
+    @pytest.mark.parametrize("bad", [
+        np.full(150, 3.5),  # singular lag search
+        np.arange(150) % 2.0,  # 0, 1, 0, 1, ...: the lag-0 MAIC regression fits exactly
+    ])
+    def test_degenerate_row_raises_scalar_message(self, rng, bad):
+        with pytest.raises(NumericalError) as scalar:
+            reference_battery(bad)
+        message = re.escape(str(scalar.value))
+        Y = np.vstack([random_walk(rng, 150), bad, random_walk(rng, 150)])
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            _battery_batch(Y)
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            unit_root_battery(bad)
