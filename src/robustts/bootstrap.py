@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .unitroot import (
     MIN_BATTERY_LENGTH,
     UnitRootStats,
     _battery_batch,
     _chunk_rows,
+    _values,
     unit_root_battery,
 )
 
@@ -174,10 +175,9 @@ def unit_root_report(y, B: int = 999, seed=0) -> UnitRootReport:
         raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
     seed_parts = _seed_tuple(seed)
     stats = unit_root_battery(y)
-    values = y.values if hasattr(y, "values") else np.asarray(y, dtype=float)
-    model = fit_sieve(np.diff(values), stats.lag)
+    model = fit_sieve(np.diff(_values(y)), stats.lag)
     if len(model.residuals) < MIN_BATTERY_LENGTH:
-        raise ValueError(
+        raise DataError(
             f"bootstrap series would have {len(model.residuals)} observations; "
             f"need at least {MIN_BATTERY_LENGTH}"
         )

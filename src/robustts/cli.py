@@ -10,8 +10,10 @@ factors    factor-model table (CAPM..6-F) with stacked t-statistic lines
 
 Price files are named ``<Country>_<Index>.csv``; the country part pairs the
 index with the matching counts series for predictive regressions.  Exit
-codes: 0 ok, 2 usage, 3 data error, 4 numerical failure.  Every run writes a
-``key=value`` manifest recording seed, B and input hashes next to the output.
+codes: 0 ok, 2 usage, 3 ``DataError`` (unreadable or too-short input), 4
+``NumericalError``; any other exception is a program bug and ends with a
+traceback.  Every run writes a ``key=value`` manifest recording seed, B and
+input hashes next to the output.
 """
 
 from __future__ import annotations
@@ -244,14 +246,10 @@ def cmd_predict(args: argparse.Namespace) -> None:
         for order in orders:
             jobs.append((f"{country} {index} d{order}", excess, difference(window, order)))
 
-    entries = []
-    for label, excess, regressor in jobs:
-        pair = align_predictive(excess, regressor)
-        if 2 * max(args.q) > pair.T:
-            raise DataError(
-                f"sample of {pair.T} paired observations cannot support q={max(args.q)}"
-            )
-        entries.append((label, predictive_report(pair, args.q)))
+    entries = [
+        (label, predictive_report(align_predictive(excess, regressor), args.q))
+        for label, excess, regressor in jobs
+    ]
     table = predict_table(entries, args.q, title=f"Predictive regressions ({args.target})")
     inputs = {"counts": args.counts, "rates": args.rates}
     inputs.update({f"prices.{index}": path for _, index, path in selected})
@@ -298,7 +296,7 @@ def main(argv=None) -> int:
     _validate(args, commands[args.command])
     try:
         COMMANDS[args.command](args)
-    except (DataError, ValueError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

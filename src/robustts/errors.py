@@ -5,11 +5,12 @@ class RobusttsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DataError(RobusttsError):
-    """A problem with input data: malformed files, unusable series.
+class DataError(RobusttsError, ValueError):
+    """Unreadable or too-short input; the command line exits 3 on it alone.
 
-    Carries enough context (file, line, field) to point at the offending
-    input when raised during ingestion.
+    A ``ValueError``, so callers that catch one keep working.  Carries enough
+    context (file, line, field) to point at the offending input when raised
+    during ingestion.
     """
 
     def __init__(self, message, path=None, line=None, field=None):
@@ -28,4 +29,4 @@ class DataError(RobusttsError):
 
 
 class NumericalError(RobusttsError):
-    """A numerical degeneracy: singular regression, zero variance, empty grid."""
+    """A numerical degeneracy (singular regression, zero variance, empty grid): exit 4."""

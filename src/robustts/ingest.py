@@ -39,7 +39,7 @@ def _read_rows(path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(str(exc), path=path) from exc
     if not rows:
         raise DataError("empty file", path=path)

@@ -195,7 +195,7 @@ def andrews_bandwidth(scores) -> float:
         V = V[:, None]
     T = V.shape[0]
     if T < 10:
-        raise ValueError(f"need at least 10 observations, got {T}")
+        raise DataError(f"need at least 10 observations, got {T}")
     num = 0.0
     den = 0.0
     for a in range(V.shape[1]):
@@ -289,7 +289,7 @@ def group_partition(T: int, q: int) -> tuple[tuple[int, int], ...]:
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if 2 * q > T:
-        raise ValueError(f"q={q} too large for T={T} (need q <= T/2)")
+        raise DataError(f"q={q} too large for T={T} (need q <= T/2)")
     bounds = [(j * T) // q for j in range(q + 1)]
     return tuple((bounds[j], bounds[j + 1]) for j in range(q))
 

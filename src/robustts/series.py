@@ -18,7 +18,6 @@ from .errors import DataError
 __all__ = [
     "Series",
     "PairedSample",
-    "Sample",
     "difference",
     "simple_returns",
     "excess_returns",
@@ -102,23 +101,6 @@ class PairedSample:
         return len(self.y)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """An unordered sample of finite reals (order never matters)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if len(self.values) == 0:
-            raise ValueError("sample must be non-empty")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("sample values must be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def difference(s: Series, order: int) -> Series:
     """Difference a series ``order`` times, keeping the dates of retained points."""
     if order not in (1, 2):
@@ -186,12 +168,12 @@ def align_predictive(returns: Series, regressor: Series) -> PairedSample:
     return PairedSample(np.array(y), np.array(x), tuple(dates), tuple(x_dates))
 
 
-def positive_part(s: Series) -> Sample:
-    """Strictly positive values of a series, order-free."""
+def positive_part(s: Series) -> np.ndarray:
+    """Strictly positive values of a series as a read-only array."""
     vals = s.values[s.values > 0]
     if len(vals) == 0:
         raise DataError("series has no strictly positive values")
-    return Sample(vals)
+    return _readonly(vals)
 
 
 def positive_window(s: Series) -> Series:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .series import Sample
+from .errors import DataError, NumericalError
 
 __all__ = ["TailFit", "TailCurve", "hill_estimate", "rank_size_estimate", "k_grid", "tail_curve"]
 
@@ -71,7 +70,7 @@ class TailCurve:
 
 
 def _positive_values(sample) -> np.ndarray:
-    vals = sample.values if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
+    vals = np.asarray(sample, dtype=float)
     if len(vals) == 0:
         raise ValueError("empty sample")
     if np.any(vals <= 0):
@@ -140,7 +139,7 @@ def k_grid(n: int, lo_frac: float = 0.025, hi_frac: float = 0.15, steps: int = 2
     strictly increasing.
     """
     if n < 40:
-        raise ValueError(f"need n >= 40 for a truncation grid, got {n}")
+        raise DataError(f"need n >= 40 for a truncation grid, got {n}")
     if not (0 < lo_frac <= hi_frac):
         raise ValueError("need 0 < lo_frac <= hi_frac")
     if steps < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .series import Series
 
 __all__ = [
@@ -309,12 +309,12 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     :func:`mz_msb_mzt`, :func:`mp_test` and :func:`lr_test`, evaluated with
     batched Gram matrices and stacked solves, so a row agrees with them to
     rounding.  Their ``NumericalError`` checks and those of
-    :class:`UnitRootStats` are kept: one failing on any row raises the same
-    message.
+    :class:`UnitRootStats` are kept, bar the MZt identity, which holds by
+    construction here: one failing on any row raises the same message.
     """
     C, T = Y.shape
     if T < MIN_BATTERY_LENGTH:
-        raise ValueError(f"battery needs at least {MIN_BATTERY_LENGTH} observations, got {T}")
+        raise DataError(f"battery needs at least {MIN_BATTERY_LENGTH} observations, got {T}")
     k_max = default_k_max(T)
     U = Y - Y.mean(axis=1, keepdims=True)
 
@@ -400,8 +400,6 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
         raise NumericalError("non-finite unit-root statistic")
     if not np.all(msb > 0):
         raise NumericalError(f"MSB must be positive, got {float(msb[~(msb > 0)][0])}")
-    if np.any(np.abs(mz_t - mz_alpha * msb) > 1e-10 * np.maximum(1.0, np.abs(mz_t))):
-        raise NumericalError("MZt != MZa * MSB beyond tolerance")
     out.update(lag=lag, s2_ar=s2_ar)
     return out
 

@@ -2,15 +2,25 @@ from datetime import date, timedelta
 
 import pytest
 
+from robustts import cli
 from robustts.cli import main
+from robustts.errors import DataError
+from robustts.report import Table
 
 
 def run(argv):
     return main([str(a) for a in argv])
 
 
+def truncated_factors(data_dir, path, rows):
+    """The fixture factor panel cut to its first ``rows`` data rows."""
+    lines = (data_dir / "factors.csv").read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[: rows + 1]) + "\n", encoding="utf-8")
+    return path
+
+
 def write_degenerate_counts(path, values):
-    """One country's cumulative counts, chosen to be numerically degenerate."""
+    """A counts file holding one country's cumulative counts, daily from 2020-01-22."""
     start = date(2020, 1, 22)
     dates = [start + timedelta(days=i) for i in range(len(values))]
     header = "Province/State,Country/Region,Lat,Long," + ",".join(
@@ -102,6 +112,94 @@ class TestExitCodes:
         code = run(["unitroot", "--counts", counts, "--B", "99", "--seed", "1"])
         assert code == 4
         assert capsys.readouterr().err == "numerical failure: degenerate ADF regression at lag 0\n"
+
+    def test_short_battery_series_is_3(self, tmp_path, capsys):
+        # a 24-day positive window leaves 23 first differences
+        counts = tmp_path / "short.csv"
+        write_degenerate_counts(counts, [(i + 1) ** 2 for i in range(24)])
+        code = run(["unitroot", "--counts", counts, "--B", "0"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: battery needs at least 25 observations, got 23\n"
+
+    def test_short_bootstrap_replicates_is_3(self, tmp_path, capsys):
+        # first differences are a T=27 random walk whose MAIC lag is 2, so the
+        # sieve leaves 24 residuals per replicate
+        counts = tmp_path / "walk.csv"
+        write_degenerate_counts(counts, [
+            1, 993, 1972, 2948, 3928, 4920, 5913, 6900, 7880, 8867, 9870, 10876, 11870, 12854,
+            13854, 14856, 15841, 16825, 17797, 18763, 19724, 20678, 21638, 22597, 23550, 24507,
+            25473, 26422,
+        ])
+        assert run(["unitroot", "--counts", counts, "--B", "0"]) == 0
+        capsys.readouterr()
+        code = run(["unitroot", "--counts", counts, "--B", "99", "--seed", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: bootstrap series would have 24 observations; need at least 25\n"
+        )
+
+    def test_short_tail_sample_is_3(self, tmp_path, capsys):
+        # 21 convex counts leave 19 positive second differences
+        counts = tmp_path / "short.csv"
+        write_degenerate_counts(counts, [(i + 1) ** 2 for i in range(21)])
+        code = run(["tailindex", "--counts", counts, "--out", tmp_path / "curves"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: need n >= 40 for a truncation grid, got 19\n"
+
+    @pytest.mark.parametrize("covered, message", [
+        (0, "only 0 return dates covered by the factor panel"),
+        (8, "need at least 10 observations, got 8"),
+        (9, "need at least 10 observations, got 9"),
+    ], ids=("0", "8", "9"))
+    def test_short_factor_panel_is_3(self, data_dir, tmp_path, capsys, covered, message):
+        # prices start on the panel's first date, so returns cover one date fewer
+        panel = truncated_factors(data_dir, tmp_path / "factors.csv", covered + 1)
+        code = run(["factors", "--prices-dir", data_dir / "prices", "--index", "AVX",
+                    "--factors", panel])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_factor_q_above_half_sample_is_3(self, data_dir, tmp_path, capsys):
+        panel = truncated_factors(data_dir, tmp_path / "factors.csv", 20)
+        code = run(["factors", "--prices-dir", data_dir / "prices", "--index", "AVX",
+                    "--factors", panel, "--q", "12"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: q=12 too large for T=19 (need q <= T/2)\n"
+
+    def test_predict_q_above_half_sample_is_3(self, data_dir, capsys):
+        code = run([
+            "predict", "--counts", data_dir / "counts_infections.csv",
+            "--prices-dir", data_dir / "prices", "--rates", data_dir / "rates.csv",
+            "--q", "4,200",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "error: q=200 too large for T=135 (need q <= T/2)\n"
+
+    @pytest.mark.parametrize("province, encoding, message", [
+        ("Z\xfcrich", "latin-1",
+         "'utf-8' codec can't decode byte 0xfc in position 48: invalid start byte"),
+        ("x" * 200_000, "utf-8", "field larger than field limit (131072)"),
+    ], ids=("not-utf8", "csv-field-limit"))
+    def test_unreadable_file_is_3(self, tmp_path, capsys, province, encoding, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_bytes(
+            f"Province/State,Country/Region,Lat,Long,1/22/20\n{province},Flatland,0,0,1\n"
+            .encode(encoding)
+        )
+        code = run(["unitroot", "--counts", counts, "--B", "0"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: file {counts}: {message}\n"
+
+    def test_program_bug_is_not_a_data_error(self, data_dir, monkeypatch, capsys):
+        def bad_table(entries, title):
+            return Table(title=title, headers=("series",), rows=(("a", "b"),))
+
+        monkeypatch.setattr(cli, "unitroot_table", bad_table)
+        with pytest.raises(ValueError) as exc:
+            run(["unitroot", "--counts", data_dir / "counts_infections.csv",
+                 "--B", "0", "--country", "Borduria"])
+        assert not isinstance(exc.value, DataError)
+        assert capsys.readouterr().err == ""
 
     def test_parse_error_location_reported(self, tmp_path, capsys):
         p = tmp_path / "r.csv"

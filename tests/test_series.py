@@ -154,7 +154,7 @@ class TestAlignPredictive:
 class TestPositivePart:
     def test_filters_to_positive(self):
         out = positive_part(make_series([-1, 0, 2, 5]))
-        assert sorted(out.values) == [2, 5]
+        assert sorted(out) == [2, 5]
 
     def test_all_negative_errors(self):
         with pytest.raises(DataError, match="positive"):
@@ -162,7 +162,7 @@ class TestPositivePart:
 
     def test_all_positive_identity(self):
         out = positive_part(make_series([3.0, 1.0, 2.0]))
-        assert sorted(out.values) == [1.0, 2.0, 3.0]
+        assert sorted(out) == [1.0, 2.0, 3.0]
 
 
 class TestPositiveWindow:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from robustts.errors import NumericalError
-from robustts.series import Sample
 from robustts.tailindex import TailCurve, hill_estimate, k_grid, rank_size_estimate, tail_curve
 
 
@@ -127,7 +126,7 @@ class TestTailCurve:
     def test_composition(self, rng):
         x = pareto(rng, 400, 1.4)
         grid = k_grid(400)
-        curve = tail_curve(Sample(x), "hill", grid)
+        curve = tail_curve(x, "hill", grid)
         assert curve.n == 400
         assert tuple(p.k for p in curve.points) == grid
         lone = hill_estimate(x, grid[3])
