@@ -122,10 +122,14 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     if B < 0 or 0 < B < MIN_REPLICATIONS:
         parser.error(f"--B must be 0 (statistics only) or >= {MIN_REPLICATIONS}")
     if args.command == "tailindex":
+        if args.out.exists() and not args.out.is_dir():
+            parser.error(f"--out {args.out} is a file; tailindex writes a directory")
         if args.grid_steps < 1:
             parser.error("--grid-steps must be >= 1")
         if not 0 < args.grid_lo <= args.grid_hi:
             parser.error("--grid-lo and --grid-hi need 0 < lo <= hi")
+    elif args.out is not None and args.out.is_dir():
+        parser.error(f"--out {args.out} is a directory; {args.command} writes a file")
 
 
 def _sha256(path: Path) -> str:

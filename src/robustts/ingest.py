@@ -116,9 +116,17 @@ def ingest_counts(path) -> dict[str, Series]:
                 field=header[4 + bad],
             )
         if country in totals:
-            totals[country] = totals[country] + values
-        else:
-            totals[country] = values
+            with np.errstate(over="ignore"):
+                values = totals[country] + values
+            if not np.all(np.isfinite(values)):
+                bad = int(np.argmin(np.isfinite(values)))
+                raise DataError(
+                    f"province sum for {country} overflows",
+                    path=path,
+                    line=line_no,
+                    field=header[4 + bad],
+                )
+        totals[country] = values
     if not totals:
         raise DataError("no data rows", path=path)
     return {country: Series(tuple(dates), vals) for country, vals in sorted(totals.items())}

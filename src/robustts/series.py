@@ -107,7 +107,12 @@ def difference(s: Series, order: int) -> Series:
         raise ValueError(f"order must be 1 or 2, got {order}")
     if len(s) <= order:
         raise DataError(f"series too short to difference {order} time(s): length {len(s)}")
-    return Series(s.dates[order:], np.diff(s.values, n=order))
+    with np.errstate(over="ignore"):
+        vals = np.diff(s.values, n=order)
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.argmin(np.isfinite(vals)))
+        raise DataError(f"difference of order {order} overflows on {s.dates[order + bad]}")
+    return Series(s.dates[order:], vals)
 
 
 def simple_returns(prices: Series) -> Series:
@@ -117,7 +122,11 @@ def simple_returns(prices: Series) -> Series:
     if np.any(prices.values <= 0):
         bad = int(np.argmax(prices.values <= 0))
         raise DataError(f"non-positive price {prices.values[bad]} on {prices.dates[bad]}")
-    vals = prices.values[1:] / prices.values[:-1] - 1.0
+    with np.errstate(over="ignore"):
+        vals = prices.values[1:] / prices.values[:-1] - 1.0
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.argmin(np.isfinite(vals)))
+        raise DataError(f"return overflows on {prices.dates[bad + 1]}")
     return Series(prices.dates[1:], vals)
 
 

@@ -11,7 +11,8 @@ shared lag.
 :func:`_battery_batch` evaluates the battery on a stack of series with
 batched Gram matrices and stacked solves; :func:`unit_root_battery` is its
 one-row case, and the bootstrap feeds it the replicates in chunks.  The
-scalar functions below stay as the formula references it is tested against.
+scalar formula references it is tested against live in
+``tests/reference_unitroot.py``.
 
 No critical values are shipped: decisions are meant to come from the
 bootstrap p-values in :mod:`robustts.bootstrap`.
@@ -28,18 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError, NumericalError
 from .series import Series
 
-__all__ = [
-    "UnitRootStats",
-    "LagSelection",
-    "default_k_max",
-    "gls_demean",
-    "select_lag_maic",
-    "adf_gls",
-    "mz_msb_mzt",
-    "mp_test",
-    "lr_test",
-    "unit_root_battery",
-]
+__all__ = ["UnitRootStats", "default_k_max", "unit_root_battery"]
 
 # fixed tuning: GLS constant of Elliott, Rothenberg & Stock (1996) and the
 # local-alternative grid c = 0, 0.5, ..., 50 of the LR profile
@@ -84,14 +74,6 @@ class UnitRootStats:
         }
 
 
-@dataclass(frozen=True)
-class LagSelection:
-    """Chosen ADF lag and the criterion values over 0..k_max."""
-
-    k: int
-    maic_values: tuple[float, ...]
-
-
 def default_k_max(T: int) -> int:
     """Standard maximum-lag rule ``floor(12 * (T/100)^(1/4))``."""
     return int(math.floor(12.0 * (T / 100.0) ** 0.25))
@@ -103,166 +85,11 @@ def _values(y) -> np.ndarray:
     return np.asarray(y, dtype=float)
 
 
-def gls_demean(y, c_bar: float = DEFAULT_C_BAR) -> np.ndarray:
-    """Remove a constant fitted by least squares on quasi-differenced data.
-
-    With ``rho = 1 + c_bar/T`` the quasi-differences are
-    ``(y_1, y_2 - rho*y_1, ..., y_T - rho*y_{T-1})`` and likewise for the
-    constant regressor; the fitted intercept is subtracted from the original
-    series.  ``c_bar = 0`` collapses to subtracting the first observation.
-    """
-    v = _values(y)
-    T = len(v)
-    if T < 3:
-        raise ValueError(f"need at least 3 observations, got {T}")
-    rho = 1.0 + c_bar / T
-    ya = np.empty(T)
-    ya[0] = v[0]
-    ya[1:] = v[1:] - rho * v[:-1]
-    za = np.full(T, 1.0 - rho)
-    za[0] = 1.0
-    intercept = float(za @ ya) / float(za @ za)
-    return v - intercept
-
-
-def _adf_design(v: np.ndarray, k: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Response and regressors of the ADF regression with ``k`` lags.
-
-    Observations run over t = start+1 .. T-1 (0-indexed differences), so a
-    common ``start`` gives the shared sample needed for lag comparison.
-    """
-    dv = np.diff(v)
-    resp = dv[start:]
-    cols = [v[start : len(v) - 1]]
-    for j in range(1, k + 1):
-        cols.append(dv[start - j : len(dv) - j])
-    return resp, np.column_stack(cols)
-
-
 def _solve_normal(G: np.ndarray, g: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(G, g)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular ADF regression") from exc
-
-
-def select_lag_maic(y_detrended_ols, k_max: int) -> LagSelection:
-    """Pick the ADF lag 0..k_max minimising the modified AIC.
-
-    All candidates are fit over the common sample t > k_max+1.  The criterion
-    is ``ln(s2_k) + 2*(tau_k + k)/(T - k_max)`` with
-    ``tau_k = b0^2 * sum(y_{t-1}^2) / s2_k``; ties go to the smallest lag.
-    """
-    v = _values(y_detrended_ols)
-    T = len(v)
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    if T <= k_max + 2:
-        raise ValueError(f"series of length {T} too short for k_max={k_max}")
-    resp, X = _adf_design(v, k_max, start=k_max)
-    N = len(resp)
-    G = X.T @ X
-    g = X.T @ resp
-    rr = float(resp @ resp)
-    maic = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        m = k + 1
-        b = _solve_normal(G[:m, :m], g[:m])
-        ssr = rr - float(b @ g[:m])
-        if not ssr > 0:
-            raise NumericalError(f"degenerate ADF regression at lag {k}")
-        s2 = ssr / N
-        tau = b[0] ** 2 * G[0, 0] / s2
-        maic[k] = math.log(s2) + 2.0 * (tau + k) / (T - k_max)
-    k_best = int(np.argmin(maic))
-    return LagSelection(k=k_best, maic_values=tuple(float(x) for x in maic))
-
-
-def _adf_fit(v: np.ndarray, k: int) -> tuple[float, float, float]:
-    """ADF regression on a detrended vector over its full usable sample.
-
-    Returns the t-ratio on the level coefficient, the dof-corrected residual
-    variance, and the sum of the lag coefficients.
-    """
-    T = len(v)
-    if T - 1 - k <= k + 1:
-        raise ValueError(f"series of length {T} too short for an ADF regression with {k} lags")
-    resp, X = _adf_design(v, k, start=k)
-    N = len(resp)
-    G = X.T @ X
-    g = X.T @ resp
-    b = _solve_normal(G, g)
-    ssr = float(resp @ resp) - float(b @ g)
-    dof = N - (k + 1)
-    if not ssr > 0:
-        raise NumericalError("degenerate ADF regression (zero residual variance)")
-    sigma2 = ssr / dof
-    e0 = np.zeros(k + 1)
-    e0[0] = 1.0
-    g00 = float(_solve_normal(G, e0)[0])
-    if not g00 > 0:
-        raise NumericalError("singular ADF regression")
-    t_ratio = float(b[0]) / math.sqrt(sigma2 * g00)
-    return t_ratio, sigma2, float(np.sum(b[1:]))
-
-
-def adf_gls(y_gls, k: int) -> float:
-    """t-ratio on the level coefficient of the ADF regression (no deterministics)."""
-    stat, _, _ = _adf_fit(_values(y_gls), k)
-    return stat
-
-
-def mz_msb_mzt(y_gls, s2_ar: float) -> tuple[float, float, float]:
-    """Modified Phillips-Perron statistics from a GLS-demeaned vector.
-
-    With ``kappa = T^-2 * sum of squared lagged values``:
-    ``MZa = (y_T^2/T - s2_ar) / (2*kappa)``, ``MSB = sqrt(kappa/s2_ar)`` and
-    ``MZt = MZa * MSB``.
-    """
-    v = _values(y_gls)
-    if not s2_ar > 0:
-        raise ValueError(f"s2_ar must be positive, got {s2_ar}")
-    T = len(v)
-    kappa = float(v[:-1] @ v[:-1]) / T**2
-    if kappa == 0.0:
-        raise NumericalError("sum of squared lagged values is zero")
-    mz_alpha = float((v[-1] ** 2 / T - s2_ar) / (2.0 * kappa))
-    msb = math.sqrt(kappa / s2_ar)
-    return mz_alpha, msb, mz_alpha * msb
-
-
-def mp_test(y_gls, s2_ar: float, c_bar: float = DEFAULT_C_BAR) -> float:
-    """Modified point-optimal statistic (demeaned case)."""
-    v = _values(y_gls)
-    if not s2_ar > 0:
-        raise ValueError(f"s2_ar must be positive, got {s2_ar}")
-    T = len(v)
-    kappa = float(v[:-1] @ v[:-1]) / T**2
-    return float((c_bar**2 * kappa - c_bar * v[-1] ** 2 / T) / s2_ar)
-
-
-def lr_test(y) -> float:
-    """Right-tailed profile quasi-likelihood ratio against local alternatives.
-
-    Profiles the Gaussian likelihood of a demeaned AR(1) fit over
-    ``rho = 1 - c/T`` for c on ``LR_C_GRID`` (0..50 step 0.5) and
-    compares the maximum with the unit root c = 0.  Always >= 0; large values
-    speak against the unit root.
-    """
-    v = _values(y)
-    T = len(v)
-    if T < 20:
-        raise ValueError(f"need at least 20 observations, got {T}")
-    u = v - v.mean()
-    rho = 1.0 - LR_C_GRID / T
-    resid = u[1:][None, :] - rho[:, None] * u[:-1][None, :]
-    sig2 = np.mean(resid**2, axis=1)
-    sig2_null = float(np.mean((u[1:] - u[:-1]) ** 2))
-    if not (sig2_null > 0 and np.all(sig2 > 0)):
-        raise NumericalError("degenerate AR(1) profile (constant series)")
-    # the null itself joins the profile so LR >= 0 on any grid
-    best = min(float(sig2.min()), sig2_null)
-    return float((T - 1) * (math.log(sig2_null) - math.log(best)))
 
 
 def _chunk_rows(T: int) -> int:
@@ -276,9 +103,10 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lag_design(U: np.ndarray, k: int) -> np.ndarray:
-    """The lag-``k`` ADF regression of :func:`_adf_design` at every
-    observation of every row of ``U``, as a C x (k+2) x (T-1) stack: the
-    level, the differences lagged 1..k, then the response (the difference).
+    """The lag-``k`` ADF regression (``_adf_design`` in
+    ``tests/reference_unitroot.py``) at every observation of every row of
+    ``U``, as a C x (k+2) x (T-1) stack: the level, the differences lagged
+    1..k, then the response (the difference).
 
     Lagged differences from before a series starts are zeros.  Variables are
     rows, so the batched products run on contiguous memory.
@@ -305,12 +133,13 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
 
     Returns one length-C array per statistic (keyed as
     :meth:`UnitRootStats.as_dict`) plus ``lag`` and ``s2_ar``.  The formulas
-    are those of :func:`select_lag_maic`, :func:`gls_demean`, :func:`_adf_fit`,
-    :func:`mz_msb_mzt`, :func:`mp_test` and :func:`lr_test`, evaluated with
-    batched Gram matrices and stacked solves, so a row agrees with them to
-    rounding.  Their ``NumericalError`` checks and those of
-    :class:`UnitRootStats` are kept, bar the MZt identity, which holds by
-    construction here: one failing on any row raises the same message.
+    are those of ``select_lag_maic``, ``gls_demean``, ``_adf_fit``,
+    ``mz_msb_mzt``, ``mp_test`` and ``lr_test`` in
+    ``tests/reference_unitroot.py``, evaluated with batched Gram matrices and
+    stacked solves, so a row agrees with them to rounding.  Their
+    ``NumericalError`` checks and those of :class:`UnitRootStats` are kept,
+    bar the MZt identity, which holds by construction here: one failing on
+    any row raises the same message.
     """
     C, T = Y.shape
     if T < MIN_BATTERY_LENGTH:

@@ -211,6 +211,72 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "r.csv" in err
 
+    def test_overflowing_province_sum_is_3(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(
+            "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20\n"
+            "North,Flatland,0,0,1,1e308\n"
+            "South,Flatland,0,0,1,1e308\n",
+            encoding="utf-8",
+        )
+        code = run(["unitroot", "--counts", counts, "--B", "0"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: file {counts}, line 3, field '1/23/20': province sum for Flatland overflows\n"
+        )
+
+    def test_overflowing_second_difference_is_3(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        write_degenerate_counts(counts, [1.7e308 if i % 2 == 0 else 0 for i in range(60)])
+        code = run(["tailindex", "--counts", counts, "--out", tmp_path / "curves"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: difference of order 2 overflows on 2020-01-24\n"
+        assert not (tmp_path / "curves").exists()
+
+    def test_overflowing_return_is_3(self, data_dir, tmp_path, capsys):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        (prices / "Flatland_FLX.csv").write_text(
+            "Date,Open,High,Low,Close,Adj Close,Volume\n"
+            "2020-01-22,1,1,1,1,1e-300,1\n"
+            "2020-01-23,1,1,1,1,1e300,1\n",
+            encoding="utf-8",
+        )
+        code = run(["factors", "--prices-dir", prices, "--factors", data_dir / "factors.csv"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: return overflows on 2020-01-23\n"
+
+    @pytest.mark.parametrize("command, kind", [
+        ("unitroot", "directory"),
+        ("predict", "directory"),
+        ("factors", "directory"),
+        ("tailindex", "file"),
+    ])
+    def test_unwritable_out_is_usage_error(self, data_dir, tmp_path, capsys, command, kind):
+        out = tmp_path / "taken"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out.write_text("keep\n", encoding="utf-8")
+        counts, prices = data_dir / "counts_infections.csv", data_dir / "prices"
+        rates, factors = data_dir / "rates.csv", data_dir / "factors.csv"
+        inputs = {
+            "unitroot": ["--counts", counts, "--B", "0"],
+            "tailindex": ["--counts", counts],
+            "predict": ["--counts", counts, "--prices-dir", prices, "--rates", rates],
+            "factors": ["--prices-dir", prices, "--index", "AVX", "--factors", factors],
+        }
+        with pytest.raises(SystemExit) as exc:
+            run([command, *inputs[command], "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: robustts {command}")
+        assert f"--out {out} is a {kind}" in err
+        if kind == "directory":
+            assert list(out.iterdir()) == []
+        else:
+            assert out.read_text(encoding="utf-8") == "keep\n"
+
 
 class TestUnitrootCommand:
     def test_writes_table_and_manifest(self, data_dir, tmp_path):

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from robustts.errors import NumericalError
-from robustts.unitroot import (
-    UnitRootStats,
+from robustts.unitroot import UnitRootStats, _battery_batch, default_k_max, unit_root_battery
+
+from reference_unitroot import (
     _adf_fit,
-    _battery_batch,
     adf_gls,
-    default_k_max,
     gls_demean,
     lr_test,
     mp_test,
     mz_msb_mzt,
     select_lag_maic,
-    unit_root_battery,
 )
 
 
@@ -166,16 +164,10 @@ class TestMpTest:
         stats = np.empty(4000)
         for i in range(4000):
             v = gls_demean(random_walk(rng, 200))
-            _, sigma2, lag_sum = _adf_fit_for_test(v, 0)
+            _, sigma2, lag_sum = _adf_fit(v, 0)
             stats[i] = mp_test(v, sigma2 / (1 - lag_sum) ** 2, -7.0)
         q5 = np.percentile(stats, 5)
         assert 2.4 <= q5 <= 4.2
-
-
-def _adf_fit_for_test(v, k):
-    from robustts.unitroot import _adf_fit
-
-    return _adf_fit(v, k)
 
 
 class TestLrTest:
