@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DataError, NumericalError
 from .unitroot import (
@@ -146,6 +145,8 @@ def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
     if model.p == 0:
         dstar = eps
     else:
+        from scipy.signal import lfilter  # imported here: only B > 0 pays for it
+
         a = np.concatenate(([1.0], -np.asarray(model.phi)))
         dstar = lfilter([1.0], a, eps, axis=1)
     return np.cumsum(dstar, axis=1)

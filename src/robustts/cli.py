@@ -130,6 +130,10 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
             parser.error("--grid-lo and --grid-hi need 0 < lo <= hi")
     elif args.out is not None and args.out.is_dir():
         parser.error(f"--out {args.out} is a directory; {args.command} writes a file")
+    if args.out is not None:
+        nearest = next(p for p in args.out.parents if p.exists())
+        if not nearest.is_dir():
+            parser.error(f"--out {args.out} lies under {nearest}, which is not a directory")
 
 
 def _sha256(path: Path) -> str:

@@ -4,7 +4,10 @@ The HAC route uses the quadratic spectral kernel with the AR(1) plug-in
 automatic bandwidth and standard-normal p-values.  The grouped route splits
 the sample into q consecutive blocks, re-estimates the full regression in
 each block and applies the Student-t statistic of the block estimates
-(size control is guaranteed for test levels up to 8.3%).
+(size control is guaranteed for test levels up to 8.3%).  Normal and
+Student-t p-values come from ``scipy.special.ndtr`` and ``stdtr``, which
+``scipy.stats``' ``norm.sf`` and ``t.sf`` evaluate, so they match those bit
+for bit.
 
 Bandwidth scores are built from demeaned regressors, which zeroes the
 intercept's score (the usual convention) and makes every slope t-statistic
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 
 import numpy as np
-from scipy.stats import norm, t as student_t
 
 from .errors import DataError, NumericalError
 from .series import PairedSample, Series
@@ -68,14 +70,18 @@ class OlsFit:
             object.__setattr__(self, name, arr)
         if self.T <= self.k_params:
             raise ValueError(f"need T > k_params, got T={self.T}, k={self.k_params}")
-        gradient = self.X.T @ self.residuals
-        scale = max(1.0, float(np.linalg.norm(self.X.T @ (self.X @ self.coefficients))))
-        if float(np.linalg.norm(gradient)) > 1e-8 * scale:
-            raise NumericalError("normal equations violated beyond tolerance")
+        # huge fits overflow these squared norms to inf, which passes the
+        # check; the HAC bandwidth then reports the overflow
+        with np.errstate(over="ignore"):
+            gradient = self.X.T @ self.residuals
+            scale = max(1.0, float(np.linalg.norm(self.X.T @ (self.X @ self.coefficients))))
+            if float(np.linalg.norm(gradient)) > 1e-8 * scale:
+                raise NumericalError("normal equations violated beyond tolerance")
 
     @property
     def ssr(self) -> float:
-        return float(self.residuals @ self.residuals)
+        with np.errstate(over="ignore"):
+            return float(self.residuals @ self.residuals)
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,19 @@ def ols(X, y) -> OlsFit:
     return OlsFit(coefficients=coef, residuals=y - X @ coef, X=X, T=T, k_params=k)
 
 
+def _two_sided_p(t_abs, df=None):
+    """``2 * P(Z > t_abs)``: standard normal if ``df`` is None, else Student t.
+
+    ``scipy.special`` is imported on first use so that importing the package
+    loads numpy only.
+    """
+    from scipy.special import ndtr, stdtr
+
+    if df is None:
+        return 2.0 * ndtr(-t_abs)
+    return 2.0 * stdtr(df, -t_abs)
+
+
 def classical_tstats(fit: OlsFit) -> tuple[np.ndarray, np.ndarray]:
     """Homoskedastic OLS t-statistics and Student-t p-values."""
     dof = fit.T - fit.k_params
@@ -168,7 +187,7 @@ def classical_tstats(fit: OlsFit) -> tuple[np.ndarray, np.ndarray]:
     if np.any(se == 0):
         raise NumericalError("zero classical standard error")
     t_stats = fit.coefficients / se
-    p_values = 2.0 * student_t.sf(np.abs(t_stats), dof)
+    p_values = _two_sided_p(np.abs(t_stats), dof)
     return t_stats, p_values
 
 
@@ -198,18 +217,24 @@ def andrews_bandwidth(scores) -> float:
         raise DataError(f"need at least 10 observations, got {T}")
     num = 0.0
     den = 0.0
-    for a in range(V.shape[1]):
-        u = V[:, a]
-        d = float(u[:-1] @ u[:-1])
-        if d == 0.0:
-            continue
-        rho = float(u[1:] @ u[:-1]) / d
-        if abs(rho) >= 1.0:
-            rho = math.copysign(RHO_CLAMP, rho)
-        innov = u[1:] - rho * u[:-1]
-        sigma2 = float(np.mean(innov**2))
-        num += 4.0 * rho**2 * sigma2**2 / (1.0 - rho) ** 8
-        den += sigma2**2 / (1.0 - rho) ** 4
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(V.shape[1]):
+                u = V[:, a]
+                d = float(u[:-1] @ u[:-1])
+                if d == 0.0:
+                    continue
+                rho = float(u[1:] @ u[:-1]) / d
+                if abs(rho) >= 1.0:
+                    rho = math.copysign(RHO_CLAMP, rho)
+                innov = u[1:] - rho * u[:-1]
+                sigma2 = float(np.mean(innov**2))
+                num += 4.0 * rho**2 * sigma2**2 / (1.0 - rho) ** 8
+                den += sigma2**2 / (1.0 - rho) ** 4
+    except OverflowError:  # float ** raises where numpy's arithmetic gives inf
+        num = math.inf
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise NumericalError("HAC bandwidth overflows: the regression scores are too large")
     if den == 0.0:
         return 0.0
     alpha2 = num / den
@@ -227,13 +252,16 @@ def long_run_variance(scores, bandwidth: float) -> np.ndarray:
     if V.ndim == 1:
         V = V[:, None]
     T = V.shape[0]
-    omega = V.T @ V / T
-    if bandwidth > 0:
-        for lag in range(1, T):
-            w = qs_kernel(lag / bandwidth)
-            gamma = V[lag:].T @ V[:-lag] / T
-            omega = omega + w * (gamma + gamma.T)
-    omega = (omega + omega.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = V.T @ V / T
+        if bandwidth > 0:
+            for lag in range(1, T):
+                w = qs_kernel(lag / bandwidth)
+                gamma = V[lag:].T @ V[:-lag] / T
+                omega = omega + w * (gamma + gamma.T)
+        omega = (omega + omega.T) / 2.0
+    if not np.all(np.isfinite(omega)):
+        raise NumericalError("QS long-run variance is not finite: the scores are too large")
     eigs = np.linalg.eigvalsh(omega)
     if eigs[0] < -1e-10 * max(1.0, float(eigs[-1])):
         raise NumericalError("QS long-run variance lost positive semidefiniteness")
@@ -269,7 +297,7 @@ def hac_inference(fit: OlsFit, bandwidth: float | None = None) -> HacResult:
     if np.any(se == 0):
         raise NumericalError("zero HAC standard error")
     t_stats = fit.coefficients / se
-    p_values = 2.0 * norm.sf(np.abs(t_stats))
+    p_values = _two_sided_p(np.abs(t_stats))
     return HacResult(
         bandwidth=float(bandwidth),
         lrv=omega,
@@ -305,7 +333,7 @@ def im_tstat(group_estimates) -> GroupInference:
         raise NumericalError("zero variance across group estimates")
     t_stat = math.sqrt(q) * float(np.mean(est)) / s
     df = q - 1
-    p_value = 2.0 * float(student_t.sf(abs(t_stat), df))
+    p_value = float(_two_sided_p(abs(t_stat), df))
     return GroupInference(
         q=q,
         group_estimates=tuple(float(e) for e in est),

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +280,66 @@ class TestExitCodes:
             assert list(out.iterdir()) == []
         else:
             assert out.read_text(encoding="utf-8") == "keep\n"
+
+    @pytest.mark.parametrize("command, below", [
+        ("unitroot", "x.csv"),
+        ("tailindex", "d/e"),
+    ])
+    def test_out_under_a_file_is_usage_error(self, data_dir, tmp_path, capsys, command, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        out = taken / below
+        extra = ["--B", "0"] if command == "unitroot" else []
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--counts", data_dir / "counts_infections.csv", *extra, "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: robustts {command}")
+        assert f"--out {out} lies under {taken}, which is not a directory" in err
+        assert taken.read_text(encoding="utf-8") == "keep\n"
+
+    def test_overflowing_hac_scores_is_4(self, data_dir, tmp_path, capsys):
+        # one Adj Close of 1e-300 makes the next return about 1e302
+        lines = (data_dir / "prices" / "Arcadia_AVX.csv").read_text(encoding="utf-8").splitlines()
+        fields = lines[10].split(",")
+        fields[5] = "1e-300"
+        lines[10] = ",".join(fields)
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        (prices / "Arcadia_AVX.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(["factors", "--prices-dir", prices, "--factors", data_dir / "factors.csv"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: HAC bandwidth overflows: the regression scores are too large\n"
+        )
+
+
+STARTUP_CHILD = """
+import sys
+
+import robustts, robustts.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+counts, out = sys.argv[1], sys.argv[2]
+main = robustts.cli.main
+assert main(["tailindex", "--counts", counts, "--out", out + "/curves"]) == 0
+assert main(["unitroot", "--counts", counts, "--B", "0", "--out", out + "/ur.csv"]) == 0
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_startup_loads_no_scipy(data_dir, tmp_path):
+    """Importing the CLI, tailindex and unitroot --B 0 run on numpy alone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, data_dir / "counts_infections.csv", tmp_path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ur.csv").is_file()
 
 
 class TestUnitrootCommand:

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import t as student_t
+from scipy.stats import norm, t as student_t
 
 from robustts.errors import DataError, NumericalError
 from robustts.regression import (
     FACTOR_MODELS,
     FactorPanel,
+    _two_sided_p,
     andrews_bandwidth,
     classical_tstats,
     factor_report,
@@ -107,6 +108,12 @@ class TestAndrewsBandwidth:
         with pytest.raises(ValueError):
             andrews_bandwidth(np.ones(5))
 
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    def test_overflowing_scores(self, rng, scale):
+        # 1e100: the float power of sigma^2 overflows; 1e200: numpy's sums do
+        with pytest.raises(NumericalError, match="HAC bandwidth overflows"):
+            andrews_bandwidth(rng.standard_normal((50, 2)) * scale)
+
 
 class TestHacInference:
     def test_white_equivalence_at_zero_bandwidth(self, rng):
@@ -141,11 +148,31 @@ class TestHacInference:
             omega = long_run_variance(V, float(rng.uniform(0.5, 6.0)))
             assert np.linalg.eigvalsh(omega)[0] >= -1e-10
 
+    def test_lrv_overflow(self, rng):
+        with pytest.raises(NumericalError, match="long-run variance is not finite"):
+            long_run_variance(rng.standard_normal((50, 2)) * 1e200, 3.0)
+
     def test_stars_convention(self):
         assert significance_stars(0.005) == "***"
         assert significance_stars(0.03) == "**"
         assert significance_stars(0.07) == "*"
         assert significance_stars(0.2) == ""
+
+
+class TestTwoSidedP:
+    """The ``scipy.special`` p-values equal ``scipy.stats``' bit for bit."""
+
+    X = np.concatenate(
+        [[0.0, 5e-324, 1e-300, 1e-12, 1e-6], np.geomspace(1e-3, 40.0, 4001), [np.inf]]
+    )
+
+    def test_normal(self):
+        assert np.array_equal(_two_sided_p(self.X), 2.0 * norm.sf(self.X))
+
+    @pytest.mark.parametrize("df", [1, 3, 7, 15, 134, 4999])
+    def test_student_t(self, df):
+        assert np.array_equal(_two_sided_p(self.X, df), 2.0 * student_t.sf(self.X, df))
+        assert float(_two_sided_p(1.7, df)) == 2.0 * float(student_t.sf(1.7, df))
 
 
 class TestGroupPartition:
