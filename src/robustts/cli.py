@@ -131,8 +131,9 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     elif args.out is not None and args.out.is_dir():
         parser.error(f"--out {args.out} is a directory; {args.command} writes a file")
     if args.out is not None:
-        nearest = next(p for p in args.out.parents if p.exists())
-        if not nearest.is_dir():
+        # "." and "/" have no parents; the working directory stands in
+        nearest = next((p for p in args.out.parents if p.exists()), None)
+        if nearest is not None and not nearest.is_dir():
             parser.error(f"--out {args.out} lies under {nearest}, which is not a directory")
 
 

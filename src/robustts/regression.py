@@ -182,6 +182,8 @@ def classical_tstats(fit: OlsFit) -> tuple[np.ndarray, np.ndarray]:
     """Homoskedastic OLS t-statistics and Student-t p-values."""
     dof = fit.T - fit.k_params
     sigma2 = fit.ssr / dof
+    if not math.isfinite(sigma2):
+        raise NumericalError("classical residual variance overflows: the residuals are too large")
     xtx_inv = np.linalg.inv(fit.X.T @ fit.X)
     se = np.sqrt(sigma2 * np.diag(xtx_inv))
     if np.any(se == 0):

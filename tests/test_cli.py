@@ -298,20 +298,29 @@ class TestExitCodes:
         assert f"--out {out} lies under {taken}, which is not a directory" in err
         assert taken.read_text(encoding="utf-8") == "keep\n"
 
-    def test_overflowing_hac_scores_is_4(self, data_dir, tmp_path, capsys):
-        # one Adj Close of 1e-300 makes the next return about 1e302
+    @pytest.mark.parametrize("adj_close, message", [
+        ("1e-80", "HAC bandwidth overflows: the regression scores are too large"),
+        ("1e-300", "classical residual variance overflows: the residuals are too large"),
+    ])
+    def test_overflowing_factor_fit_is_4(self, data_dir, tmp_path, capsys, adj_close, message):
+        # one Adj Close of 1e-80 (1e-300) makes the next return about 1e82 (1e302)
         lines = (data_dir / "prices" / "Arcadia_AVX.csv").read_text(encoding="utf-8").splitlines()
         fields = lines[10].split(",")
-        fields[5] = "1e-300"
+        fields[5] = adj_close
         lines[10] = ",".join(fields)
         prices = tmp_path / "prices"
         prices.mkdir()
         (prices / "Arcadia_AVX.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = run(["factors", "--prices-dir", prices, "--factors", data_dir / "factors.csv"])
         assert code == 4
-        assert capsys.readouterr().err == (
-            "numerical failure: HAC bandwidth overflows: the regression scores are too large\n"
-        )
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+    def test_tailindex_out_dot_writes_here(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["tailindex", "--counts", data_dir / "counts_infections.csv", "--out", "."]) == 0
+        curves = sorted(p.name for p in tmp_path.iterdir())
+        assert "run.manifest" in curves
+        assert "Arcadia_infections_hill.csv" in curves
 
 
 STARTUP_CHILD = """

@@ -115,6 +115,14 @@ class TestAndrewsBandwidth:
             andrews_bandwidth(rng.standard_normal((50, 2)) * scale)
 
 
+class TestClassicalTstats:
+    def test_overflowing_residuals(self, rng):
+        X = design(rng.standard_normal(50))
+        fit = ols(X, rng.standard_normal(50) * 1e200)
+        with pytest.raises(NumericalError, match="classical residual variance overflows"):
+            classical_tstats(fit)
+
+
 class TestHacInference:
     def test_white_equivalence_at_zero_bandwidth(self, rng):
         X = design(rng.standard_normal(200))
