@@ -18,10 +18,10 @@ Dated-series plumbing lives in :mod:`robustts.series` and
 __version__ = "0.1.0"
 
 from .errors import DataError, NumericalError, RobusttsError
-from .series import PairedSample, Series
+from .series import FactorPanel, PairedSample, Series
 from .bootstrap import unit_root_report
 from .tailindex import hill_estimate, k_grid, rank_size_estimate, tail_curve
-from .regression import FactorPanel, factor_report, predictive_report
+from .regression import factor_report, predictive_report
 
 __all__ = [
     "__version__",

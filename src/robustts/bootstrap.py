@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .series import _readonly
 from .unitroot import (
     MIN_BATTERY_LENGTH,
     UnitRootStats,
@@ -54,8 +55,7 @@ class SieveModel:
     p: int
 
     def __post_init__(self):
-        arr = np.array(self.residuals, dtype=float)
-        arr.setflags(write=False)
+        arr = _readonly(self.residuals)
         object.__setattr__(self, "residuals", arr)
         if len(self.phi) != self.p:
             raise ValueError("phi must hold exactly p coefficients")

@@ -36,6 +36,7 @@ from .series import (
     excess_returns,
     positive_part,
     positive_window,
+    shared_dates,
     simple_returns,
 )
 from .tailindex import k_grid, tail_curve
@@ -126,8 +127,8 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
             parser.error(f"--out {args.out} is a file; tailindex writes a directory")
         if args.grid_steps < 1:
             parser.error("--grid-steps must be >= 1")
-        if not 0 < args.grid_lo <= args.grid_hi:
-            parser.error("--grid-lo and --grid-hi need 0 < lo <= hi")
+        if not 0 < args.grid_lo <= args.grid_hi <= 1:
+            parser.error("--grid-lo and --grid-hi need 0 < lo <= hi <= 1")
     elif args.out is not None and args.out.is_dir():
         parser.error(f"--out {args.out} is a directory; {args.command} writes a file")
     if args.out is not None:
@@ -272,15 +273,10 @@ def cmd_factors(args: argparse.Namespace) -> None:
     country, index, path = selected[0]
     panel = ingest_factors(args.factors)
     returns = simple_returns(ingest_prices(path))
-    rf_by_date = dict(zip(panel.dates, panel.columns["RF"]))
-    dates, values = [], []
-    for d, r in zip(returns.dates, returns.values):
-        if d in rf_by_date:
-            dates.append(d)
-            values.append(r - rf_by_date[d])
-    if len(dates) < 8:
-        raise DataError(f"only {len(dates)} return dates covered by the factor panel")
-    excess = Series(tuple(dates), values)
+    i, j = shared_dates(returns.dates, panel.dates)
+    if len(i) < 8:
+        raise DataError(f"only {len(i)} return dates covered by the factor panel")
+    excess = Series(tuple(returns.dates[k] for k in i), returns.values[i] - panel.columns["RF"][j])
 
     q0 = args.q[0]
     reports = [

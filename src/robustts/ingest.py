@@ -24,8 +24,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import DataError
-from .regression import FactorPanel
-from .series import Series
+from .series import FactorPanel, Series, first_unordered
 
 __all__ = ["ingest_counts", "ingest_prices", "ingest_rates", "ingest_factors"]
 
@@ -46,6 +45,17 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
+def _data_rows(rows: list[list[str]], path):
+    """``(line, row)`` for each non-empty row below the header, checked to be as wide."""
+    width = len(rows[0])
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataError(f"expected {width} fields, got {len(row)}", path=path, line=line_no)
+        yield line_no, row
+
+
 def _parse_date(raw: str, fmt: str, path, line: int, field: str) -> Date:
     try:
         return datetime.strptime(raw.strip(), fmt).date()
@@ -61,14 +71,6 @@ def _parse_number(raw: str, path, line: int, field: str) -> float:
     if not np.isfinite(value):
         raise DataError(f"non-finite number {raw!r}", path=path, line=line, field=field)
     return value
-
-
-def _check_increasing(dates: list[Date], path, line: int) -> None:
-    for prev, cur in zip(dates, dates[1:]):
-        if cur <= prev:
-            raise DataError(
-                f"date columns out of order ({prev} then {cur})", path=path, line=line
-            )
 
 
 def ingest_counts(path) -> dict[str, Series]:
@@ -88,16 +90,14 @@ def ingest_counts(path) -> dict[str, Series]:
         _parse_date(raw, "%m/%d/%y", path, 1, f"column {i + 5}")
         for i, raw in enumerate(header[4:])
     ]
-    _check_increasing(dates, path, 1)
+    bad = first_unordered(dates)
+    if bad is not None:
+        raise DataError(
+            f"date columns out of order ({dates[bad - 1]} then {dates[bad]})", path=path, line=1
+        )
 
     totals: dict[str, np.ndarray] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} fields, got {len(row)}", path=path, line=line_no
-            )
+    for line_no, row in _data_rows(rows, path):
         country = row[1].strip()
         if not country:
             raise DataError("empty country name", path=path, line=line_no, field="Country/Region")
@@ -151,13 +151,7 @@ def _read_table(path, header: tuple[str, ...], parse_row, skip=None) -> tuple[li
     date_field = header[0]
     dates: list[Date] = []
     values = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} fields, got {len(row)}", path=path, line=line_no
-            )
+    for line_no, row in _data_rows(rows, path):
         if skip is not None and skip(row):
             continue
         d = _parse_date(row[0], "%Y-%m-%d", path, line_no, date_field)

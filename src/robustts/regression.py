@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date as Date
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .series import PairedSample, Series
+from .series import FactorPanel, PairedSample, Series, _readonly, shared_dates
 
 __all__ = [
     "OlsFit",
     "HacResult",
     "GroupInference",
-    "FactorPanel",
     "FACTOR_MODELS",
     "CoefficientInference",
     "InferenceReport",
@@ -65,9 +63,7 @@ class OlsFit:
 
     def __post_init__(self):
         for name in ("coefficients", "residuals", "X"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if self.T <= self.k_params:
             raise ValueError(f"need T > k_params, got T={self.T}, k={self.k_params}")
         # huge fits overflow these squared norms to inf, which passes the
@@ -97,9 +93,7 @@ class HacResult:
 
     def __post_init__(self):
         for name in ("lrv", "se", "t_stats", "p_values"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -126,28 +120,6 @@ FACTOR_MODELS: dict[str, tuple[str, ...]] = {
     "5F": ("Mkt.RF", "SMB", "HML", "RMW", "CMA"),
     "6F": ("Mkt.RF", "SMB", "HML", "MOM", "RMW", "CMA"),
 }
-
-
-@dataclass(frozen=True)
-class FactorPanel:
-    """Dated factor columns, already in per-period fractions."""
-
-    dates: tuple[Date, ...]
-    columns: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        cols = {}
-        for name, vals in self.columns.items():
-            arr = np.array(vals, dtype=float)
-            arr.setflags(write=False)
-            if len(arr) != len(self.dates):
-                raise ValueError(f"column {name!r} length mismatch")
-            cols[name] = arr
-        object.__setattr__(self, "columns", cols)
-        for a, b in zip(self.dates, self.dates[1:]):
-            if b <= a:
-                raise ValueError("panel dates must be strictly increasing")
 
 
 def ols(X, y) -> OlsFit:
@@ -430,17 +402,11 @@ class InferenceReport:
 
 
 def _align_panel(excess: Series, panel: FactorPanel, names) -> tuple[np.ndarray, np.ndarray, int]:
-    panel_index = {d: i for i, d in enumerate(panel.dates)}
-    rows = [(i, panel_index[d]) for i, d in enumerate(excess.dates) if d in panel_index]
-    if len(rows) < len(names) + 2:
-        raise DataError(
-            f"only {len(rows)} dates shared between returns and factor panel"
-        )
-    y = np.array([excess.values[i] for i, _ in rows])
-    X = np.column_stack(
-        [np.ones(len(rows))] + [np.array([panel.columns[n][j] for _, j in rows]) for n in names]
-    )
-    return X, y, len(rows)
+    i, j = shared_dates(excess.dates, panel.dates)
+    if len(i) < len(names) + 2:
+        raise DataError(f"only {len(i)} dates shared between returns and factor panel")
+    X = np.column_stack([np.ones(len(i))] + [panel.columns[n][j] for n in names])
+    return X, excess.values[i], len(i)
 
 
 def factor_report(excess: Series, panel: FactorPanel, model: str, qs=(4,)) -> InferenceReport:

@@ -29,6 +29,12 @@ __all__ = [
 
 STAT_COLUMNS = ("LR", "MZa", "MSB", "MZt", "MPt", "ADF")
 
+# one pass, so the braces and backslashes inserted here are not escaped again
+_TEX_ESCAPES = str.maketrans(
+    {ch: "\\" + ch for ch in "&%#_{}$"}
+    | {"\\": "\\textbackslash{}", "^": "\\^{}", "~": "\\~{}"}
+)
+
 
 @dataclass(frozen=True)
 class Table:
@@ -63,20 +69,14 @@ def render_table(table: Table, fmt: str) -> bytes:
         lines = [f"% {table.title}"]
         lines.append("\\begin{tabular}{l" + "c" * (len(table.headers) - 1) + "}")
         lines.append("\\hline")
-        lines.append(" & ".join(_tex_escape(h) for h in table.headers) + " \\\\")
+        lines.append(" & ".join(h.translate(_TEX_ESCAPES) for h in table.headers) + " \\\\")
         lines.append("\\hline")
         for r in table.rows:
-            lines.append(" & ".join(_tex_escape(c) for c in r) + " \\\\")
+            lines.append(" & ".join(c.translate(_TEX_ESCAPES) for c in r) + " \\\\")
         lines.append("\\hline")
         lines.append("\\end{tabular}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _tex_escape(s: str) -> str:
-    for ch in ("&", "%", "#", "_", "{", "}"):
-        s = s.replace(ch, "\\" + ch)
-    return s
 
 
 def unitroot_table(entries: list[tuple[str, UnitRootReport]], title: str) -> Table:

@@ -1,13 +1,16 @@
-"""Dated series, aligned regression samples, and the basic transforms.
+"""Dated series, factor panels, aligned regression samples and the transforms.
 
 A :class:`Series` is the carrier for every dated sequence in the package:
 cumulative counts, price levels, daily returns (fractions) and annual policy
-rates (percent).  Transforms are pure functions returning new objects; the
-underlying numpy arrays are marked read-only so values can be shared freely.
+rates (percent); a :class:`FactorPanel` holds dated factor columns.  The
+date-order check and the date joins used across the package live here.
+Transforms are pure functions returning new objects; the underlying numpy
+arrays are marked read-only so values can be shared freely.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
 
@@ -18,6 +21,7 @@ from .errors import DataError
 __all__ = [
     "Series",
     "PairedSample",
+    "FactorPanel",
     "difference",
     "simple_returns",
     "excess_returns",
@@ -34,6 +38,18 @@ def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def first_unordered(dates) -> int | None:
+    """Index of the first date not strictly after its predecessor, or None."""
+    return next((i for i in range(1, len(dates)) if dates[i] <= dates[i - 1]), None)
+
+
+def shared_dates(dates, other) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(i, j)`` of every exact match ``dates[i] == other[j]``, in date order."""
+    where = {d: j for j, d in enumerate(other)}
+    i = [k for k, d in enumerate(dates) if d in where]
+    return np.array(i, dtype=np.intp), np.array([where[dates[k]] for k in i], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -57,9 +73,10 @@ class Series:
             raise ValueError("series must hold at least one observation")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("series values must be finite")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise ValueError(f"dates must be strictly increasing ({prev} then {cur})")
+        bad = first_unordered(self.dates)
+        if bad is not None:
+            prev, cur = self.dates[bad - 1], self.dates[bad]
+            raise ValueError(f"dates must be strictly increasing ({prev} then {cur})")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -99,6 +116,25 @@ class PairedSample:
     @property
     def T(self) -> int:
         return len(self.y)
+
+
+@dataclass(frozen=True)
+class FactorPanel:
+    """Dated factor columns, already in per-period fractions."""
+
+    dates: tuple[Date, ...]
+    columns: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dates", tuple(self.dates))
+        cols = {}
+        for name, vals in self.columns.items():
+            cols[name] = _readonly(vals)
+            if len(cols[name]) != len(self.dates):
+                raise ValueError(f"column {name!r} length mismatch")
+        object.__setattr__(self, "columns", cols)
+        if first_unordered(self.dates) is not None:
+            raise ValueError("panel dates must be strictly increasing")
 
 
 def difference(s: Series, order: int) -> Series:
@@ -141,16 +177,11 @@ def excess_returns(returns: Series, annual_rate_pct: Series) -> Series:
 
 
 def _forward_fill(s: Series, onto: tuple[Date, ...]) -> np.ndarray:
-    """Latest observation of ``s`` on or before each target date."""
-    out = np.empty(len(onto))
-    j = -1
-    for i, d in enumerate(onto):
-        while j + 1 < len(s) and s.dates[j + 1] <= d:
-            j += 1
-        if j < 0:
-            raise DataError(f"no rate observation on or before {d}")
-        out[i] = s.values[j]
-    return out
+    """Latest observation of ``s`` on or before each (increasing) target date."""
+    idx = [bisect_right(s.dates, d) - 1 for d in onto]
+    if idx[0] < 0:
+        raise DataError(f"no rate observation on or before {onto[0]}")
+    return s.values[idx]
 
 
 def align_predictive(returns: Series, regressor: Series) -> PairedSample:
@@ -159,22 +190,15 @@ def align_predictive(returns: Series, regressor: Series) -> PairedSample:
     Return dates with no strictly earlier regressor observation are dropped;
     fewer than 4 surviving pairs is an error.
     """
-    y, x, dates, x_dates = [], [], [], []
-    j = -1
-    for i, d in enumerate(returns.dates):
-        while j + 1 < len(regressor) and regressor.dates[j + 1] < d:
-            j += 1
-        if j < 0:
-            continue
-        y.append(returns.values[i])
-        x.append(regressor.values[j])
-        dates.append(d)
-        x_dates.append(regressor.dates[j])
-    if len(y) < 4:
-        raise DataError(
-            f"only {len(y)} return dates have a strictly earlier regressor observation"
-        )
-    return PairedSample(np.array(y), np.array(x), tuple(dates), tuple(x_dates))
+    start = bisect_right(returns.dates, regressor.dates[0])
+    kept = len(returns) - start
+    if kept < 4:
+        raise DataError(f"only {kept} return dates have a strictly earlier regressor observation")
+    dates = returns.dates[start:]
+    lag = [bisect_left(regressor.dates, d) - 1 for d in dates]
+    return PairedSample(
+        returns.values[start:], regressor.values[lag], dates, tuple(regressor.dates[j] for j in lag)
+    )
 
 
 def positive_part(s: Series) -> np.ndarray:

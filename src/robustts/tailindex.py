@@ -140,8 +140,8 @@ def k_grid(n: int, lo_frac: float = 0.025, hi_frac: float = 0.15, steps: int = 2
     """
     if n < 40:
         raise DataError(f"need n >= 40 for a truncation grid, got {n}")
-    if not (0 < lo_frac <= hi_frac):
-        raise ValueError("need 0 < lo_frac <= hi_frac")
+    if not (0 < lo_frac <= hi_frac <= 1):
+        raise ValueError("need 0 < lo_frac <= hi_frac <= 1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     fracs = np.linspace(lo_frac, hi_frac, steps)

@@ -66,6 +66,8 @@ class TestExitCodes:
         ["--grid-steps", "0"],
         ["--grid-lo", "0"],
         ["--grid-lo", "0.5", "--grid-hi", "0.1"],
+        ["--grid-hi", "inf"],
+        ["--grid-hi", "1.5"],
     ])
     def test_bad_grid_is_usage_error(self, data_dir, tmp_path, capsys, grid):
         out = tmp_path / "curves"

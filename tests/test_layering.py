@@ -1,0 +1,55 @@
+"""The package's internal import graph, pinned module by module.
+
+Every relative import in ``src/robustts/*.py`` (function-level ones included)
+must appear in ``ALLOWED``, and every entry there must still be used, so a new
+cross-layer import, or a removed one, has to edit this table on purpose.
+``"__init__"`` stands for ``from . import ...``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "robustts"
+
+ALLOWED = {
+    "__init__": {"errors", "series", "bootstrap", "tailindex", "regression"},
+    "errors": set(),
+    "series": {"errors"},
+    "ingest": {"errors", "series"},
+    "unitroot": {"errors", "series"},
+    "bootstrap": {"errors", "series", "unitroot"},
+    "tailindex": {"errors"},
+    "regression": {"errors", "series"},
+    "report": {"bootstrap", "regression", "tailindex"},
+    "cli": {
+        "__init__", "bootstrap", "errors", "ingest", "regression", "report", "series",
+        "tailindex", "unitroot",
+    },
+}
+
+
+def package_imports(path: Path) -> set[str]:
+    imports = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imports.add(node.module.split(".")[0] if node.module else "__init__")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("robustts"):
+            imports.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            imports.update(
+                alias.name.partition(".")[2] or "__init__"
+                for alias in node.names
+                if alias.name.split(".")[0] == "robustts"
+            )
+    return imports
+
+
+def test_every_module_is_in_the_table():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_imports_match_table(module):
+    assert package_imports(PACKAGE / f"{module}.py") == ALLOWED[module]

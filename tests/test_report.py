@@ -146,6 +146,9 @@ class TestRenderTable:
         table = Table(title="t", headers=("a", "b"), rows=(("S&P", "5%"),))
         tex = render_table(table, "tex").decode()
         assert "S\\&P" in tex and "5\\%" in tex
+        table = Table(title="t", headers=("a", "b"), rows=(("Arcadia ^AVX", "a\\b~$5 {x}"),))
+        tex = render_table(table, "tex").decode()
+        assert "Arcadia \\^{}AVX & a\\textbackslash{}b\\~{}\\$5 \\{x\\} \\\\" in tex
 
     @pytest.mark.parametrize("name", ["unitroot", "predict", "factors"])
     @pytest.mark.parametrize("fmt", ["csv", "md", "tex"])

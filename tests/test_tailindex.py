@@ -121,6 +121,14 @@ class TestKGrid:
         with pytest.raises(ValueError):
             k_grid(39)
 
+    @pytest.mark.parametrize("hi", [1.5, float("inf")])
+    def test_fraction_above_one(self, hi):
+        with pytest.raises(ValueError, match="hi_frac <= 1"):
+            k_grid(200, hi_frac=hi)
+
+    def test_full_fraction_clips_to_n_minus_one(self):
+        assert k_grid(200, 0.5, 1.0, 3)[-1] == 199
+
 
 class TestTailCurve:
     def test_composition(self, rng):
