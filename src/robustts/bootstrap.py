@@ -22,6 +22,7 @@ from .errors import DataError, NumericalError
 from .series import _readonly
 from .unitroot import (
     MIN_BATTERY_LENGTH,
+    STAT_TAILS,
     UnitRootStats,
     _battery_batch,
     _chunk_rows,
@@ -37,12 +38,9 @@ __all__ = [
     "rademacher",
     "resample_null",
     "unit_root_report",
-    "STAT_TAILS",
 ]
 
-# rejection side per statistic: LR rejects for large values, the rest for small
-STAT_TAILS = {"LR": "right", "MZa": "left", "MSB": "left", "MZt": "left", "MPt": "left", "ADF": "left"}
-
+DEFAULT_B = 999
 MIN_REPLICATIONS = 99
 
 
@@ -52,15 +50,17 @@ class SieveModel:
 
     phi: tuple[float, ...]
     residuals: np.ndarray
-    p: int
 
     def __post_init__(self):
         arr = _readonly(self.residuals)
         object.__setattr__(self, "residuals", arr)
-        if len(self.phi) != self.p:
-            raise ValueError("phi must hold exactly p coefficients")
         if abs(float(arr.mean())) > 1e-12 * max(1.0, float(np.abs(arr).max())):
             raise ValueError("sieve residuals must be centered")
+
+    @property
+    def p(self) -> int:
+        """The sieve order, one per AR coefficient."""
+        return len(self.phi)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def fit_sieve(dy, p: int) -> SieveModel:
         raise NumericalError("singular sieve regression") from exc
     resid = resp - X @ b
     resid = resid - resid.mean()
-    return SieveModel(phi=tuple(float(c) for c in b[1:]), residuals=resid, p=p)
+    return SieveModel(phi=tuple(float(c) for c in b[1:]), residuals=resid)
 
 
 def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
@@ -170,10 +170,16 @@ def _pvalue(stat: float, replicates: np.ndarray, tail: str, B: int) -> float:
     return (1.0 + extreme) / (B + 1.0)
 
 
-def unit_root_report(y, B: int = 999, seed=0) -> UnitRootReport:
-    """Battery plus bootstrap p-values in one pass over the data."""
+def unit_root_report(y, B: int = DEFAULT_B, seed=0) -> UnitRootReport:
+    """Battery plus bootstrap p-values in one pass over the data.
+
+    ``B=0`` gives the battery alone with empty p-values: no sieve is fitted,
+    nothing is drawn and ``seed`` is not used.
+    """
+    if B == 0:
+        return UnitRootReport(unit_root_battery(y), BootstrapResult(p_values={}, B=0, seed=()))
     if B < MIN_REPLICATIONS:
-        raise ValueError(f"B must be >= {MIN_REPLICATIONS}, got {B}")
+        raise ValueError(f"B must be 0 or >= {MIN_REPLICATIONS}, got {B}")
     seed_parts = _seed_tuple(seed)
     stats = unit_root_battery(y)
     model = fit_sieve(np.diff(_values(y)), stats.lag)
@@ -193,8 +199,8 @@ def unit_root_report(y, B: int = 999, seed=0) -> UnitRootReport:
 
     observed = stats.as_dict()
     p_values = {}
-    for name in STAT_TAILS:
+    for name, tail in STAT_TAILS.items():
         reps = np.concatenate([chunk[name] for chunk in chunks])
-        p_values[name] = _pvalue(observed[name], reps, STAT_TAILS[name], B)
+        p_values[name] = _pvalue(observed[name], reps, tail, B)
     result = BootstrapResult(p_values=p_values, B=B, seed=seed_parts)
     return UnitRootReport(stats=stats, result=result)

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bootstrap import MIN_REPLICATIONS, BootstrapResult, UnitRootReport, unit_root_report
+from .bootstrap import DEFAULT_B, MIN_REPLICATIONS, unit_root_report
 from .errors import DataError, NumericalError
 from .ingest import ingest_counts, ingest_factors, ingest_prices, ingest_rates
-from .regression import factor_report, predictive_report
+from .regression import DEFAULT_QS, FACTOR_MODELS, factor_report, predictive_report
 from .report import emit_tail_curve, factor_table, predict_table, render_table, unitroot_table
 from .series import (
     Series,
@@ -39,12 +40,7 @@ from .series import (
     shared_dates,
     simple_returns,
 )
-from .tailindex import k_grid, tail_curve
-from .unitroot import unit_root_battery
-
-DEFAULT_B = 999
-DEFAULT_QS = (4, 8, 12, 16)
-DEFAULT_GRID = (0.025, 0.15, 20)
+from .tailindex import DEFAULT_GRID, k_grid, tail_curve
 
 
 def _parse_qs(raw: str) -> tuple[int, ...]:
@@ -69,7 +65,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--out", type=Path, default=None)
 
     def q_list(p):
-        p.add_argument("--q", type=_parse_qs, default=DEFAULT_QS, metavar="4,8,12,16")
+        p.add_argument("--q", type=_parse_qs, default=DEFAULT_QS, metavar=",".join(map(str, DEFAULT_QS)))
 
     p_ur = sub.add_parser("unitroot", help="unit-root battery with bootstrap p-values")
     p_ur.add_argument("--counts", type=Path, required=True)
@@ -132,10 +128,13 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     elif args.out is not None and args.out.is_dir():
         parser.error(f"--out {args.out} is a directory; {args.command} writes a file")
     if args.out is not None:
-        # "." and "/" have no parents; the working directory stands in
-        nearest = next((p for p in args.out.parents if p.exists()), None)
-        if nearest is not None and not nearest.is_dir():
-            parser.error(f"--out {args.out} lies under {nearest}, which is not a directory")
+        # the directory the output lands in: an existing --out directory
+        # (tailindex only, so "." too), else the nearest existing ancestor
+        home = args.out if args.out.is_dir() else next(p for p in args.out.parents if p.exists())
+        if not home.is_dir():
+            parser.error(f"--out {args.out} lies under {home}, which is not a directory")
+        if not os.access(home, os.W_OK):
+            parser.error(f"--out {args.out} lies in {home}, which is not writable")
 
 
 def _sha256(path: Path) -> str:
@@ -185,14 +184,10 @@ def cmd_unitroot(args: argparse.Namespace) -> None:
         for order, label in ((1, "d1"), (2, "d2")):
             jobs.append((f"{name} {label}", difference(window, order)))
 
-    entries = []
-    for idx, (label, series) in enumerate(jobs):
-        if args.B > 0:
-            report = unit_root_report(series, B=args.B, seed=(args.seed, idx))
-        else:
-            stats = unit_root_battery(series)
-            report = UnitRootReport(stats, BootstrapResult(p_values={}, B=0, seed=()))
-        entries.append((label, report))
+    entries = [
+        (label, unit_root_report(series, B=args.B, seed=(args.seed, idx)))
+        for idx, (label, series) in enumerate(jobs)
+    ]
     table = unitroot_table(entries, title=f"Unit root battery ({args.target})")
     _emit(args, render_table(table, args.format), {"counts": args.counts})
 
@@ -279,10 +274,7 @@ def cmd_factors(args: argparse.Namespace) -> None:
     excess = Series(tuple(returns.dates[k] for k in i), returns.values[i] - panel.columns["RF"][j])
 
     q0 = args.q[0]
-    reports = [
-        factor_report(excess, panel, name, qs=(q0,))
-        for name in ("CAPM", "3F", "4F", "5F", "6F")
-    ]
+    reports = [factor_report(excess, panel, name, qs=(q0,)) for name in FACTOR_MODELS]
     table = factor_table(reports, q0, title=f"Factor models ({country} {index})")
     _emit(args, render_table(table, args.format), {"factors": args.factors, f"prices.{index}": path})
 

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 GROUP_MAX_VALID_LEVEL = 0.083
+# group counts q of the grouped t; factor_report uses only the first
+DEFAULT_QS = (4, 8, 12, 16)
 QS_BANDWIDTH_CONSTANT = 1.3221
 RHO_CLAMP = 0.97
 
@@ -58,21 +60,26 @@ class OlsFit:
     coefficients: np.ndarray
     residuals: np.ndarray
     X: np.ndarray
-    T: int
-    k_params: int
 
     def __post_init__(self):
         for name in ("coefficients", "residuals", "X"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if self.T <= self.k_params:
-            raise ValueError(f"need T > k_params, got T={self.T}, k={self.k_params}")
         # huge fits overflow these squared norms to inf, which passes the
-        # check; the HAC bandwidth then reports the overflow
+        # check; the classical variance or the long-run variance then
+        # reports the overflow
         with np.errstate(over="ignore"):
             gradient = self.X.T @ self.residuals
             scale = max(1.0, float(np.linalg.norm(self.X.T @ (self.X @ self.coefficients))))
             if float(np.linalg.norm(gradient)) > 1e-8 * scale:
                 raise NumericalError("normal equations violated beyond tolerance")
+
+    @property
+    def T(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def k_params(self) -> int:
+        return self.X.shape[1]
 
     @property
     def ssr(self) -> float:
@@ -89,7 +96,6 @@ class HacResult:
     se: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
-    stars: tuple[str, ...]
 
     def __post_init__(self):
         for name in ("lrv", "se", "t_stats", "p_values"):
@@ -100,16 +106,18 @@ class HacResult:
 class GroupInference:
     """Student-t inference from q consecutive-block estimates of one parameter."""
 
-    q: int
     group_estimates: tuple[float, ...]
     t_stat: float
-    df: int
     p_value: float
-    max_valid_level: float = GROUP_MAX_VALID_LEVEL
+    max_valid_level = GROUP_MAX_VALID_LEVEL  # a class constant, not a field
 
-    def __post_init__(self):
-        if self.df != self.q - 1:
-            raise ValueError("df must equal q - 1")
+    @property
+    def q(self) -> int:
+        return len(self.group_estimates)
+
+    @property
+    def df(self) -> int:
+        return self.q - 1
 
 
 # model name -> factor columns, in the canonical table row order
@@ -134,7 +142,7 @@ def ols(X, y) -> OlsFit:
     coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < k:
         raise NumericalError(f"rank-deficient regressor matrix (rank {rank} < {k})")
-    return OlsFit(coefficients=coef, residuals=y - X @ coef, X=X, T=T, k_params=k)
+    return OlsFit(coefficients=coef, residuals=y - X @ coef, X=X)
 
 
 def _two_sided_p(t_abs, df=None):
@@ -189,26 +197,26 @@ def andrews_bandwidth(scores) -> float:
     T = V.shape[0]
     if T < 10:
         raise DataError(f"need at least 10 observations, got {T}")
+    if not np.all(np.isfinite(V)):
+        raise NumericalError("HAC bandwidth needs finite regression scores")
+    # alpha(2) is a ratio of fourth powers, so one power-of-two scale leaves
+    # it bit for bit unchanged; with the largest |score| in [1/2, 1) no sum
+    # or power below can overflow
+    V = np.ldexp(V, -np.frexp(np.max(np.abs(V)))[1])
     num = 0.0
     den = 0.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a in range(V.shape[1]):
-                u = V[:, a]
-                d = float(u[:-1] @ u[:-1])
-                if d == 0.0:
-                    continue
-                rho = float(u[1:] @ u[:-1]) / d
-                if abs(rho) >= 1.0:
-                    rho = math.copysign(RHO_CLAMP, rho)
-                innov = u[1:] - rho * u[:-1]
-                sigma2 = float(np.mean(innov**2))
-                num += 4.0 * rho**2 * sigma2**2 / (1.0 - rho) ** 8
-                den += sigma2**2 / (1.0 - rho) ** 4
-    except OverflowError:  # float ** raises where numpy's arithmetic gives inf
-        num = math.inf
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise NumericalError("HAC bandwidth overflows: the regression scores are too large")
+    for a in range(V.shape[1]):
+        u = V[:, a]
+        d = float(u[:-1] @ u[:-1])
+        if d == 0.0:
+            continue
+        rho = float(u[1:] @ u[:-1]) / d
+        if abs(rho) >= 1.0:
+            rho = math.copysign(RHO_CLAMP, rho)
+        innov = u[1:] - rho * u[:-1]
+        sigma2 = float(np.mean(innov**2))
+        num += 4.0 * rho**2 * sigma2**2 / (1.0 - rho) ** 8
+        den += sigma2**2 / (1.0 - rho) ** 4
     if den == 0.0:
         return 0.0
     alpha2 = num / den
@@ -272,14 +280,7 @@ def hac_inference(fit: OlsFit, bandwidth: float | None = None) -> HacResult:
         raise NumericalError("zero HAC standard error")
     t_stats = fit.coefficients / se
     p_values = _two_sided_p(np.abs(t_stats))
-    return HacResult(
-        bandwidth=float(bandwidth),
-        lrv=omega,
-        se=se,
-        t_stats=t_stats,
-        p_values=p_values,
-        stars=tuple(significance_stars(float(p)) for p in p_values),
-    )
+    return HacResult(bandwidth=float(bandwidth), lrv=omega, se=se, t_stats=t_stats, p_values=p_values)
 
 
 def group_partition(T: int, q: int) -> tuple[tuple[int, int], ...]:
@@ -306,15 +307,8 @@ def im_tstat(group_estimates) -> GroupInference:
     if s == 0.0:
         raise NumericalError("zero variance across group estimates")
     t_stat = math.sqrt(q) * float(np.mean(est)) / s
-    df = q - 1
-    p_value = float(_two_sided_p(abs(t_stat), df))
-    return GroupInference(
-        q=q,
-        group_estimates=tuple(float(e) for e in est),
-        t_stat=t_stat,
-        df=df,
-        p_value=p_value,
-    )
+    p_value = float(_two_sided_p(abs(t_stat), q - 1))
+    return GroupInference(group_estimates=tuple(float(e) for e in est), t_stat=t_stat, p_value=p_value)
 
 
 def grouped_ols(X, y, q: int) -> tuple[GroupInference, ...]:
@@ -354,10 +348,10 @@ class PredictiveInference:
 
     @property
     def hac_stars(self) -> str:
-        return self.hac.stars[1]
+        return significance_stars(self.hac_p)
 
 
-def predictive_report(pair: PairedSample, qs=(4, 8, 12, 16)) -> PredictiveInference:
+def predictive_report(pair: PairedSample, qs=DEFAULT_QS) -> PredictiveInference:
     """Slope inference for ``y_t = alpha + beta * x_{t-1} + e_t``."""
     X = np.column_stack([np.ones(pair.T), pair.x])
     fit = ols(X, pair.y)
@@ -382,8 +376,11 @@ class CoefficientInference:
     classical_p: float
     hac_t: float
     hac_p: float
-    hac_stars: str
     grouped: dict[int, GroupInference] = field(default_factory=dict)
+
+    @property
+    def hac_stars(self) -> str:
+        return significance_stars(self.hac_p)
 
 
 @dataclass(frozen=True)
@@ -409,7 +406,7 @@ def _align_panel(excess: Series, panel: FactorPanel, names) -> tuple[np.ndarray,
     return X, excess.values[i], len(i)
 
 
-def factor_report(excess: Series, panel: FactorPanel, model: str, qs=(4,)) -> InferenceReport:
+def factor_report(excess: Series, panel: FactorPanel, model: str, qs=DEFAULT_QS[:1]) -> InferenceReport:
     """Estimate one factor model on excess returns with all three schemes.
 
     Rows come out in canonical factor order with the intercept reported last
@@ -437,7 +434,6 @@ def factor_report(excess: Series, panel: FactorPanel, model: str, qs=(4,)) -> In
                 classical_p=float(classical_p[idx]),
                 hac_t=float(hac.t_stats[idx]),
                 hac_p=float(hac.p_values[idx]),
-                hac_stars=hac.stars[idx],
                 grouped={q: g[idx] for q, g in grouped_by_q.items()},
             )
         )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .bootstrap import UnitRootReport
 from .regression import InferenceReport, PredictiveInference
 from .tailindex import TailCurve
+from .unitroot import STAT_TAILS
 
 __all__ = [
     "Table",
@@ -24,10 +25,7 @@ __all__ = [
     "predict_table",
     "factor_table",
     "emit_tail_curve",
-    "STAT_COLUMNS",
 ]
-
-STAT_COLUMNS = ("LR", "MZa", "MSB", "MZt", "MPt", "ADF")
 
 # one pass, so the braces and backslashes inserted here are not escaped again
 _TEX_ESCAPES = str.maketrans(
@@ -50,6 +48,11 @@ class Table:
                 raise ValueError(f"row width {len(r)} != header width {len(self.headers)}")
 
 
+def _md_row(cells) -> str:
+    """One markdown table line; a ``|`` in a cell is escaped so it cannot split the cell."""
+    return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
+
+
 def render_table(table: Table, fmt: str) -> bytes:
     """Render a table to csv, markdown or latex bytes (utf-8, LF endings)."""
     if fmt == "csv":
@@ -59,11 +62,8 @@ def render_table(table: Table, fmt: str) -> bytes:
         writer.writerows(table.rows)
         return out.getvalue().encode("utf-8")
     if fmt == "md":
-        lines = [f"## {table.title}", ""]
-        lines.append("| " + " | ".join(table.headers) + " |")
-        lines.append("| " + " | ".join("---" for _ in table.headers) + " |")
-        for r in table.rows:
-            lines.append("| " + " | ".join(r) + " |")
+        lines = [f"## {table.title}", "", _md_row(table.headers), _md_row("---" for _ in table.headers)]
+        lines += [_md_row(r) for r in table.rows]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "tex":
         lines = [f"% {table.title}"]
@@ -84,10 +84,10 @@ def unitroot_table(entries: list[tuple[str, UnitRootReport]], title: str) -> Tab
     rows = []
     for label, report in entries:
         stats = report.stats.as_dict()
-        rows.append((label,) + tuple(f"{stats[c]:.2f}" for c in STAT_COLUMNS))
+        rows.append((label,) + tuple(f"{stats[c]:.2f}" for c in STAT_TAILS))
         p = report.p_values
-        rows.append(("",) + tuple(f"({p[c]:.3f})" if c in p else "" for c in STAT_COLUMNS))
-    return Table(title=title, headers=("series",) + STAT_COLUMNS, rows=tuple(rows))
+        rows.append(("",) + tuple(f"({p[c]:.3f})" if c in p else "" for c in STAT_TAILS))
+    return Table(title=title, headers=("series", *STAT_TAILS), rows=tuple(rows))
 
 
 def predict_table(entries: list[tuple[str, PredictiveInference]], qs, title: str) -> Table:

@@ -19,6 +19,8 @@ from .errors import DataError, NumericalError
 __all__ = ["TailFit", "TailCurve", "hill_estimate", "rank_size_estimate", "k_grid", "tail_curve"]
 
 Z_95 = 1.96
+# the truncation grid of :func:`k_grid`: lo_frac, hi_frac, steps
+DEFAULT_GRID = (0.025, 0.15, 20)
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,6 @@ class TailFit:
 
     zeta: float
     se: float
-    ci95: tuple[float, float]
     k: int
     method: str
     log_scale: float | None = None
@@ -42,9 +43,11 @@ class TailFit:
             raise NumericalError(f"tail index must be positive, got {self.zeta}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        lo, hi = self.ci95
-        if abs(lo - (self.zeta - Z_95 * self.se)) > 1e-12 or abs(hi - (self.zeta + Z_95 * self.se)) > 1e-12:
-            raise ValueError("ci95 must equal zeta +- 1.96*se")
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        """Normal 95% band ``zeta -+ 1.96 * se``."""
+        return (self.zeta - Z_95 * self.se, self.zeta + Z_95 * self.se)
 
     @property
     def theta(self) -> float:
@@ -95,7 +98,7 @@ def hill_estimate(sample, k: int) -> TailFit:
         raise NumericalError("zero log-spacing sum: top order statistics are all equal")
     zeta = k / spacing_sum
     se = zeta / math.sqrt(k)
-    return TailFit(zeta=zeta, se=se, ci95=(zeta - Z_95 * se, zeta + Z_95 * se), k=k, method="hill")
+    return TailFit(zeta=zeta, se=se, k=k, method="hill")
 
 
 def rank_size_estimate(sample, k: int, shift: float = 0.5) -> TailFit:
@@ -122,17 +125,12 @@ def rank_size_estimate(sample, k: int, shift: float = 0.5) -> TailFit:
     zeta = -slope
     se = math.sqrt(2.0 / k) * zeta
     intercept = float(ydep.mean() - slope * x.mean())
-    return TailFit(
-        zeta=zeta,
-        se=se,
-        ci95=(zeta - Z_95 * se, zeta + Z_95 * se),
-        k=k,
-        method="rank_size",
-        log_scale=intercept,
-    )
+    return TailFit(zeta=zeta, se=se, k=k, method="rank_size", log_scale=intercept)
 
 
-def k_grid(n: int, lo_frac: float = 0.025, hi_frac: float = 0.15, steps: int = 20) -> tuple[int, ...]:
+def k_grid(
+    n: int, lo_frac: float = DEFAULT_GRID[0], hi_frac: float = DEFAULT_GRID[1], steps: int = DEFAULT_GRID[2]
+) -> tuple[int, ...]:
     """Truncation levels ``ceil(frac*n)`` over an even fraction grid.
 
     Values are clipped to [2, n-1] and deduplicated, so the result is

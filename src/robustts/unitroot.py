@@ -29,7 +29,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError, NumericalError
 from .series import Series
 
-__all__ = ["UnitRootStats", "default_k_max", "unit_root_battery"]
+__all__ = ["STAT_TAILS", "UnitRootStats", "default_k_max", "unit_root_battery"]
+
+# the six statistics in table order, with the side each rejects on: LR
+# rejects for large values, the rest for small
+STAT_TAILS = {"LR": "right", "MZa": "left", "MSB": "left", "MZt": "left", "MPt": "left", "ADF": "left"}
 
 # fixed tuning: GLS constant of Elliott, Rothenberg & Stock (1996) and the
 # local-alternative grid c = 0, 0.5, ..., 50 of the LR profile
@@ -48,7 +52,6 @@ class UnitRootStats:
     lr: float
     mz_alpha: float
     msb: float
-    mz_t: float
     mp_t: float
     adf: float
     lag: int
@@ -60,18 +63,15 @@ class UnitRootStats:
             raise NumericalError("non-finite unit-root statistic")
         if not self.msb > 0:
             raise NumericalError(f"MSB must be positive, got {self.msb}")
-        if abs(self.mz_t - self.mz_alpha * self.msb) > 1e-10 * max(1.0, abs(self.mz_t)):
-            raise NumericalError("MZt != MZa * MSB beyond tolerance")
+
+    @property
+    def mz_t(self) -> float:
+        """MZt, which is MZa * MSB by definition."""
+        return self.mz_alpha * self.msb
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "LR": self.lr,
-            "MZa": self.mz_alpha,
-            "MSB": self.msb,
-            "MZt": self.mz_t,
-            "MPt": self.mp_t,
-            "ADF": self.adf,
-        }
+        """The six statistics keyed and ordered as :data:`STAT_TAILS`."""
+        return dict(zip(STAT_TAILS, (self.lr, self.mz_alpha, self.msb, self.mz_t, self.mp_t, self.adf)))
 
 
 def default_k_max(T: int) -> int:
@@ -137,9 +137,8 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     ``mz_msb_mzt``, ``mp_test`` and ``lr_test`` in
     ``tests/reference_unitroot.py``, evaluated with batched Gram matrices and
     stacked solves, so a row agrees with them to rounding.  Their
-    ``NumericalError`` checks and those of :class:`UnitRootStats` are kept,
-    bar the MZt identity, which holds by construction here: one failing on
-    any row raises the same message.
+    ``NumericalError`` checks and those of :class:`UnitRootStats` are kept:
+    one failing on any row raises the same message.
     """
     C, T = Y.shape
     if T < MIN_BATTERY_LENGTH:
@@ -224,7 +223,7 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     best = np.minimum(sig2.min(axis=1), sig2_null)
     lr = (T - 1) * (np.log(sig2_null) - np.log(best))
 
-    out = {"LR": lr, "MZa": mz_alpha, "MSB": msb, "MZt": mz_t, "MPt": mp_t, "ADF": adf}
+    out = dict(zip(STAT_TAILS, (lr, mz_alpha, msb, mz_t, mp_t, adf)))
     if not all(np.all(np.isfinite(v)) for v in (*out.values(), s2_ar)):
         raise NumericalError("non-finite unit-root statistic")
     if not np.all(msb > 0):
@@ -247,7 +246,6 @@ def unit_root_battery(y) -> UnitRootStats:
         lr=float(row["LR"]),
         mz_alpha=float(row["MZa"]),
         msb=float(row["MSB"]),
-        mz_t=float(row["MZt"]),
         mp_t=float(row["MPt"]),
         adf=float(row["ADF"]),
         lag=int(row["lag"]),

@@ -10,6 +10,8 @@ from robustts.bootstrap import (
     resample_null,
     unit_root_report,
 )
+from robustts.errors import DataError
+from robustts.unitroot import unit_root_battery
 
 
 class TestFitSieve:
@@ -28,6 +30,7 @@ class TestFitSieve:
     def test_residual_count_and_centering(self, rng):
         dy = rng.standard_normal(100)
         model = fit_sieve(dy, 3)
+        assert model.p == len(model.phi) == 3
         assert len(model.residuals) == len(dy) - 3
         assert abs(model.residuals.mean()) < 1e-12
 
@@ -50,7 +53,7 @@ class TestFitSieve:
 
     def test_centering_enforced_by_type(self):
         with pytest.raises(ValueError, match="centered"):
-            SieveModel(phi=(), residuals=np.array([1.0, 1.0]), p=0)
+            SieveModel(phi=(), residuals=np.array([1.0, 1.0]))
 
 
 class TestRademacher:
@@ -84,7 +87,7 @@ class TestResampleNull:
     def test_zero_phi_keeps_innovations(self, rng, monkeypatch):
         dy = rng.standard_normal(40)
         resid = dy[1:] - dy[1:].mean()
-        model = SieveModel(phi=(0.0,), residuals=resid, p=1)
+        model = SieveModel(phi=(0.0,), residuals=resid)
         w = rademacher(3, len(model.residuals))
         monkeypatch.setattr(bt, "rademacher", lambda seed, n: w)
         y_star = resample_null(model, seed=0)
@@ -174,8 +177,25 @@ class TestBootstrapPvalues:
         assert set(res.p_values) == {"LR", "MZa", "MSB", "MZt", "MPt", "ADF"}
 
     def test_b_minimum(self, rng):
-        with pytest.raises(ValueError, match=">= 99"):
-            unit_root_report(np.cumsum(rng.standard_normal(60)), B=50, seed=0)
+        y = np.cumsum(rng.standard_normal(60))
+        for B in (-1, *range(1, 99)):
+            with pytest.raises(ValueError, match=">= 99"):
+                unit_root_report(y, B=B, seed=0)
+
+    def test_b_zero_is_the_battery_alone(self, rng, monkeypatch):
+        def never(*args):
+            raise AssertionError("B=0 must fit no sieve and draw nothing")
+
+        monkeypatch.setattr(bt, "fit_sieve", never)
+        monkeypatch.setattr(bt, "rademacher", never)
+        # 25 observations: enough for the battery, too few for a bootstrap
+        y = np.cumsum(rng.standard_normal(25))
+        rep = unit_root_report(y, B=0, seed=None)
+        assert rep.stats == unit_root_battery(y)
+        assert rep.p_values == {} and rep.result.B == 0
+        monkeypatch.undo()
+        with pytest.raises(DataError, match="bootstrap series"):
+            unit_root_report(y, B=99, seed=0)
 
     def test_report_bundles_stats(self, rng):
         y = np.cumsum(rng.standard_normal(90))

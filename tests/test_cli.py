@@ -23,6 +23,17 @@ def truncated_factors(data_dir, path, rows):
     return path
 
 
+def prices_with_tiny_adj_close(data_dir, prices, adj_close):
+    """A price directory holding the AVX fixture with one ``Adj Close`` replaced."""
+    lines = (data_dir / "prices" / "Arcadia_AVX.csv").read_text(encoding="utf-8").splitlines()
+    fields = lines[10].split(",")
+    fields[5] = adj_close
+    lines[10] = ",".join(fields)
+    prices.mkdir()
+    (prices / "Arcadia_AVX.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return prices
+
+
 def write_degenerate_counts(path, values):
     """A counts file holding one country's cumulative counts, daily from 2020-01-22."""
     start = date(2020, 1, 22)
@@ -301,21 +312,51 @@ class TestExitCodes:
         assert taken.read_text(encoding="utf-8") == "keep\n"
 
     @pytest.mark.parametrize("adj_close, message", [
-        ("1e-80", "HAC bandwidth overflows: the regression scores are too large"),
         ("1e-300", "classical residual variance overflows: the residuals are too large"),
     ])
     def test_overflowing_factor_fit_is_4(self, data_dir, tmp_path, capsys, adj_close, message):
-        # one Adj Close of 1e-80 (1e-300) makes the next return about 1e82 (1e302)
-        lines = (data_dir / "prices" / "Arcadia_AVX.csv").read_text(encoding="utf-8").splitlines()
-        fields = lines[10].split(",")
-        fields[5] = adj_close
-        lines[10] = ",".join(fields)
-        prices = tmp_path / "prices"
-        prices.mkdir()
-        (prices / "Arcadia_AVX.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # one Adj Close of 1e-300 makes the next return about 1e302
+        prices = prices_with_tiny_adj_close(data_dir, tmp_path / "prices", adj_close)
         code = run(["factors", "--prices-dir", prices, "--factors", data_dir / "factors.csv"])
         assert code == 4
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+    def test_tiny_adj_close_factor_fit_is_0(self, data_dir, tmp_path, capsys):
+        # returns of about 1e82 and 1e152: the HAC t-statistics are scale
+        # invariant, and the bandwidth rescales its scores exactly
+        hac_cells = []
+        for adj_close in ("1e-80", "1e-150"):
+            prices = prices_with_tiny_adj_close(data_dir, tmp_path / adj_close, adj_close)
+            assert run(["factors", "--prices-dir", prices, "--factors", data_dir / "factors.csv"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1].startswith("Mkt.RF,")
+            hac_cells.append(lines[3].split(",")[1:])
+        assert hac_cells[0] == hac_cells[1] == ["(1.012)", "(1.014)", "(1.019)", "(1.019)", "(1.024)"]
+
+    @pytest.mark.parametrize("command, existing", [("unitroot", False), ("tailindex", True)])
+    def test_unwritable_out_directory_is_usage_error(
+        self, data_dir, tmp_path, capsys, monkeypatch, command, existing
+    ):
+        # root ignores permission bits, so the check is made to fail instead
+        checked = []
+
+        def deny(path, mode):
+            checked.append((path, mode))
+            return False
+
+        monkeypatch.setattr(cli.os, "access", deny)
+        home = tmp_path / "home"
+        home.mkdir()
+        out = home if existing else home / "new" / "ur.csv"
+        extra = ["--B", "0"] if command == "unitroot" else []
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--counts", data_dir / "counts_infections.csv", *extra, "--out", out])
+        assert exc.value.code == 2
+        assert checked == [(home, os.W_OK)]
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: robustts {command}") and err.count("usage:") == 1
+        assert f"--out {out} lies in {home}, which is not writable" in err
+        assert list(home.iterdir()) == []
 
     def test_tailindex_out_dot_writes_here(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

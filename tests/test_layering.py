@@ -3,7 +3,8 @@
 Every relative import in ``src/robustts/*.py`` (function-level ones included)
 must appear in ``ALLOWED``, and every entry there must still be used, so a new
 cross-layer import, or a removed one, has to edit this table on purpose.
-``"__init__"`` stands for ``from . import ...``.
+``"__init__"`` stands for ``from . import ...``.  The six statistic names are
+likewise pinned to ``unitroot.py``, the one module allowed to spell them.
 """
 
 import ast
@@ -22,12 +23,14 @@ ALLOWED = {
     "bootstrap": {"errors", "series", "unitroot"},
     "tailindex": {"errors"},
     "regression": {"errors", "series"},
-    "report": {"bootstrap", "regression", "tailindex"},
+    "report": {"bootstrap", "regression", "tailindex", "unitroot"},
     "cli": {
-        "__init__", "bootstrap", "errors", "ingest", "regression", "report", "series",
-        "tailindex", "unitroot",
+        "__init__", "bootstrap", "errors", "ingest", "regression", "report", "series", "tailindex",
     },
 }
+
+# spelled as string constants in unitroot.py alone (``STAT_TAILS``)
+STATISTIC_NAMES = {"LR", "MZa", "MSB", "MZt", "MPt", "ADF"}
 
 
 def package_imports(path: Path) -> set[str]:
@@ -53,3 +56,30 @@ def test_every_module_is_in_the_table():
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_match_table(module):
     assert package_imports(PACKAGE / f"{module}.py") == ALLOWED[module]
+
+
+def string_constants(path: Path) -> set[str]:
+    """String constants of a module, docstrings excluded."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    }
+
+
+def test_statistic_names_spelled_once():
+    spelled = {
+        path.stem: sorted(string_constants(path) & STATISTIC_NAMES) for path in PACKAGE.glob("*.py")
+    }
+    assert {module: names for module, names in spelled.items() if names} == {
+        "unitroot": sorted(STATISTIC_NAMES)
+    }

@@ -58,6 +58,11 @@ class TestOls:
         oracle = np.linalg.solve(X.T @ X, X.T @ y)
         assert fit.coefficients == pytest.approx(oracle, rel=1e-8)
 
+    def test_dimensions_read_from_the_design(self, rng):
+        X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
+        fit = ols(X, rng.standard_normal(50))
+        assert (fit.T, fit.k_params) == X.shape == (50, 3)
+
     def test_needs_degrees_of_freedom(self, rng):
         X = rng.standard_normal((3, 3))
         with pytest.raises(ValueError):
@@ -108,11 +113,17 @@ class TestAndrewsBandwidth:
         with pytest.raises(ValueError):
             andrews_bandwidth(np.ones(5))
 
-    @pytest.mark.parametrize("scale", [1e100, 1e200])
-    def test_overflowing_scores(self, rng, scale):
-        # 1e100: the float power of sigma^2 overflows; 1e200: numpy's sums do
-        with pytest.raises(NumericalError, match="HAC bandwidth overflows"):
-            andrews_bandwidth(rng.standard_normal((50, 2)) * scale)
+    @pytest.mark.parametrize("exponent", [332, 664])
+    def test_power_of_two_scale_is_exact(self, rng, exponent):
+        # scores near 1e100 and 1e200, whose fourth powers overflow unscaled
+        V = ar1_path(rng, 100, 0.5)[:, None] * np.array([1.0, 3.0]) + rng.standard_normal((100, 2))
+        assert andrews_bandwidth(V * 2.0**exponent) == andrews_bandwidth(V)
+
+    def test_non_finite_scores(self, rng):
+        V = rng.standard_normal((50, 2))
+        V[7, 1] = np.inf
+        with pytest.raises(NumericalError, match="finite regression scores"):
+            andrews_bandwidth(V)
 
 
 class TestClassicalTstats:
@@ -217,7 +228,7 @@ class TestImTstat:
     def test_hand_computed_example(self):
         g = im_tstat([0.5, 1.0, 1.5, 2.0])
         assert g.t_stat == pytest.approx(3.873, abs=1e-3)
-        assert g.df == 3
+        assert (g.q, g.df) == (4, 3)
         # rejects at 5%: |t| beyond the 97.5% Student-t quantile with 3 df
         crit = float(student_t.ppf(0.975, 3))
         assert crit == pytest.approx(3.182, abs=1e-3)
@@ -302,8 +313,9 @@ class TestPredictiveReport:
         row = predictive_report(pair, qs=(4, 8))
         assert row.T == T
         assert set(row.grouped) == {4, 8}
-        assert row.hac_stars in ("", "*", "**", "***")
-        assert row.grouped[4].df == 3
+        assert row.hac_stars == significance_stars(row.hac_p)
+        for q in (4, 8):
+            assert (row.grouped[q].q, row.grouped[q].df) == (q, q - 1)
 
 
 def make_panel(rng, T=240):
@@ -359,4 +371,5 @@ class TestFactorReport:
         report = factor_report(excess, panel, "3F", qs=(4, 8))
         for coef in report.coefficients:
             assert set(coef.grouped) == {4, 8}
+            assert coef.hac_stars == significance_stars(coef.hac_p)
         assert [c.name for c in report.coefficients] == ["Mkt.RF", "SMB", "HML", "Alpha"]

@@ -5,6 +5,7 @@ and re-review the files under tests/golden/ before committing.
 """
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def _unitroot_entries():
     def entry(label, lr, mza, msb, mpt, adf, lag, ps):
-        stats = UnitRootStats(
-            lr=lr, mz_alpha=mza, msb=msb, mz_t=mza * msb, mp_t=mpt, adf=adf, lag=lag, s2_ar=1.0
-        )
+        stats = UnitRootStats(lr=lr, mz_alpha=mza, msb=msb, mp_t=mpt, adf=adf, lag=lag, s2_ar=1.0)
         result = BootstrapResult(
             p_values=dict(zip(("LR", "MZa", "MSB", "MZt", "MPt", "ADF"), ps)), B=199, seed=(42,)
         )
@@ -49,9 +48,11 @@ def _unitroot_entries():
 
 
 def _group(q, t):
-    return GroupInference(
-        q=q, group_estimates=tuple(float(i) for i in range(q)), t_stat=t, df=q - 1, p_value=0.5
-    )
+    return GroupInference(group_estimates=tuple(float(i) for i in range(q)), t_stat=t, p_value=0.5)
+
+
+# a p-value per star count: stars are derived from the p-value
+STAR_P = {"": 0.5, "*": 0.07, "**": 0.02, "***": 0.001}
 
 
 def _hac(ts, stars):
@@ -61,8 +62,7 @@ def _hac(ts, stars):
         lrv=np.eye(len(ts)),
         se=np.ones(len(ts)),
         t_stats=ts,
-        p_values=np.full(len(ts), 0.5),
-        stars=stars,
+        p_values=np.array([STAR_P[s] for s in stars]),
     )
 
 
@@ -81,7 +81,7 @@ def _factor_reports():
     def coef(name, est, ct, ht, stars, gt):
         return CoefficientInference(
             name=name, estimate=est, classical_t=ct, classical_p=0.5,
-            hac_t=ht, hac_p=0.5, hac_stars=stars, grouped={4: _group(4, gt)},
+            hac_t=ht, hac_p=STAR_P[stars], grouped={4: _group(4, gt)},
         )
 
     capm = InferenceReport(
@@ -141,6 +141,15 @@ class TestRenderTable:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             render_table(sample_tables()["predict"], "html")
+
+    def test_md_escapes_pipes(self):
+        table = predict_table([("Arcadia A|X d1", _predict_entries()[0][1])], (4, 8, 12, 16), title="t")
+        lines = render_table(table, "md").decode().splitlines()
+        header, row = lines[2], lines[4]
+        assert row.startswith("| Arcadia A\\|X d1 | 285 |")
+        separator = re.compile(r"(?<!\\)\|")
+        assert len(separator.findall(row)) == len(separator.findall(header)) == 8
+        assert render_table(table, "csv").decode().splitlines()[1].startswith("Arcadia A|X d1,285,")
 
     def test_tex_escapes_specials(self):
         table = Table(title="t", headers=("a", "b"), rows=(("S&P", "5%"),))

@@ -209,9 +209,13 @@ class TestBattery:
             stats = unit_root_battery(random_walk(rng, 80))
             assert stats.s2_ar > 0
 
-    def test_identity_enforced_by_type(self):
-        with pytest.raises(NumericalError):
+    def test_identity_enforced_by_type(self, rng):
+        with pytest.raises(TypeError, match="mz_t"):
             UnitRootStats(lr=1, mz_alpha=-2, msb=0.5, mz_t=5.0, mp_t=1, adf=-1, lag=0, s2_ar=1)
+        y = random_walk(rng, 120)
+        stats = unit_root_battery(y)
+        assert stats.mz_t == stats.mz_alpha * stats.msb
+        assert stats.mz_t == _battery_batch(y[None, :])["MZt"][0]
 
     def test_minimum_length(self, rng):
         with pytest.raises(ValueError, match="at least 25"):
