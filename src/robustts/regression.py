@@ -228,19 +228,21 @@ def long_run_variance(scores, bandwidth: float) -> np.ndarray:
 
     ``Omega = Gamma(0) + sum_l w(l/bandwidth) (Gamma(l) + Gamma(l)')`` with
     ``Gamma(l) = T^-1 sum_t V_t V_{t-l}'``; bandwidth 0 keeps only the
-    contemporaneous term.
+    contemporaneous term.  It is evaluated as ``V' W V / T``, with ``W`` the
+    Toeplitz matrix of ``w(|t-s|/bandwidth)``, by one FFT convolution.
     """
     V = np.asarray(scores, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
     T = V.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        omega = V.T @ V / T
+        WV = V
         if bandwidth > 0:
-            for lag in range(1, T):
-                w = qs_kernel(lag / bandwidth)
-                gamma = V[lag:].T @ V[:-lag] / T
-                omega = omega + w * (gamma + gamma.T)
+            # W V is the circular convolution of [1, w, 0, w reversed] with V padded to 2T
+            w = qs_kernel(np.arange(1, T) / bandwidth)
+            spectrum = np.fft.rfft(np.concatenate(([1.0], w, [0.0], w[::-1])))
+            WV = np.fft.irfft(spectrum[:, None] * np.fft.rfft(V, 2 * T, axis=0), 2 * T, axis=0)[:T]
+        omega = V.T @ WV / T
         omega = (omega + omega.T) / 2.0
     if not np.all(np.isfinite(omega)):
         raise NumericalError("QS long-run variance is not finite: the scores are too large")

@@ -151,13 +151,10 @@ def k_grid(
 
 
 def tail_curve(sample, method: str, grid) -> TailCurve:
-    """Apply one estimator pointwise over a truncation grid."""
-    vals = _positive_values(sample)
-    if method == "hill":
-        estimator = hill_estimate
-    elif method == "rank_size":
-        estimator = rank_size_estimate
-    else:
+    """Apply one estimator per k to the sample, sorted once (its own stable sort is then linear)."""
+    vals = np.sort(_positive_values(sample), kind="stable")
+    estimator = {"hill": hill_estimate, "rank_size": rank_size_estimate}.get(method)
+    if estimator is None:
         raise ValueError(f"method must be 'hill' or 'rank_size', got {method!r}")
     points = tuple(estimator(vals, int(k)) for k in grid)
     return TailCurve(points=points, n=len(vals))

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.stats import norm, t as student_t
 
+import robustts.regression as regression
 from robustts.errors import DataError, NumericalError
 from robustts.regression import (
     FACTOR_MODELS,
@@ -25,6 +27,7 @@ from robustts.regression import (
 from robustts.series import PairedSample, Series
 
 from conftest import make_series
+from reference_regression import long_run_variance as reference_lrv
 
 
 def design(x):
@@ -171,11 +174,72 @@ class TestHacInference:
         with pytest.raises(NumericalError, match="long-run variance is not finite"):
             long_run_variance(rng.standard_normal((50, 2)) * 1e200, 3.0)
 
+    def test_one_kernel_evaluation_per_call(self, rng, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return qs_kernel(x)
+
+        monkeypatch.setattr(regression, "qs_kernel", counting)
+        for T in (2, 10, 57, 1000):
+            calls.clear()
+            long_run_variance(rng.standard_normal((T, 2)), 3.0)
+            assert calls == [(T - 1,)]
+        calls.clear()
+        long_run_variance(rng.standard_normal((50, 2)), 0.0)
+        assert calls == []
+
     def test_stars_convention(self):
         assert significance_stars(0.005) == "***"
         assert significance_stars(0.03) == "**"
         assert significance_stars(0.07) == "*"
         assert significance_stars(0.2) == ""
+
+
+def _magnitude(V, bandwidth):
+    """``|V|' |W| |V| / T``: the size of the terms the long-run variance sums."""
+    T = V.shape[0]
+    w = np.abs(qs_kernel(np.arange(1, T) / bandwidth)) if bandwidth > 0 else np.zeros(T - 1)
+    h = np.concatenate((w[::-1], [1.0], w))
+    A = np.abs(V)
+    WA = np.column_stack([np.convolve(h, A[:, a], mode="valid") for a in range(A.shape[1])])
+    return A.T @ WA / T
+
+
+class TestLongRunVarianceReference:
+    """The FFT evaluation against the per-lag loop of ``reference_regression``.
+
+    Each score kind meets each scale 1, 2^400 and 2^-400 once over the three
+    widths k; a power-of-two scale is exact in both evaluations.  The
+    tolerance is 1e-12 of ``sqrt(M_aa M_bb)``, ``M = |V|'|W||V|/T``: at
+    bandwidths of T and more, ``Omega`` is a near-cancellation of terms of
+    size ``M``, and there the loop itself strays from an extended-precision
+    evaluation by more than 1e-12 of ``sqrt(Omega_aa Omega_bb)``.
+    """
+
+    SCALES = (1.0, 2.0**400, 2.0**-400)
+
+    @pytest.mark.parametrize("T", [10, 11, 57, 250, 1000, 5000])
+    def test_matches_per_lag_loop(self, T):
+        rng = np.random.default_rng(T)
+        het = np.exp(2.0 * np.sin(np.arange(T) / 7.0))[:, None]
+        for j, k in enumerate((1, 2, 7)):
+            kinds = {"gaussian": rng.standard_normal((T, k)), "t2": rng.standard_t(2, (T, k)),
+                     "heteroskedastic": rng.standard_normal((T, k)) * het}
+            for i, (label, V) in enumerate(kinds.items()):
+                V = V * self.SCALES[(i + j) % 3]
+                for bandwidth in (0.0, 1e-3, 0.7, 3.0, float(T), 10.0 * T):
+                    case = f"T={T} k={k} {label} scale={self.SCALES[(i + j) % 3]} bandwidth={bandwidth}"
+                    try:
+                        want = reference_lrv(V, bandwidth)
+                    except NumericalError as exc:
+                        with pytest.raises(NumericalError, match=re.escape(str(exc))):
+                            long_run_variance(V, bandwidth)
+                        continue
+                    got = long_run_variance(V, bandwidth)
+                    size = np.sqrt(np.diag(_magnitude(V, bandwidth)))
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.outer(size, size)), case
 
 
 class TestTwoSidedP:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import robustts.tailindex as tailindex
 from robustts.errors import NumericalError
 from robustts.tailindex import TailCurve, hill_estimate, k_grid, rank_size_estimate, tail_curve
 
@@ -138,8 +139,7 @@ class TestTailCurve:
         curve = tail_curve(x, "hill", grid)
         assert curve.n == 400
         assert tuple(p.k for p in curve.points) == grid
-        lone = hill_estimate(x, grid[3])
-        assert curve.points[3].zeta == pytest.approx(lone.zeta)
+        assert curve.points[3] == hill_estimate(x, grid[3])
 
     def test_permutation_invariance(self, rng):
         x = pareto(rng, 300, 1.0)
@@ -148,7 +148,34 @@ class TestTailCurve:
         for method in ("hill", "rank_size"):
             a = tail_curve(x, method, (10, 20, 30))
             b = tail_curve(shuffled, method, (10, 20, 30))
-            assert [p.zeta for p in a.points] == pytest.approx([p.zeta for p in b.points])
+            assert a.points == b.points
+
+    @pytest.mark.parametrize("n", [40, 41, 57, 1000, 12_345, 100_000])
+    def test_points_are_the_pointwise_estimates(self, n):
+        # unsorted, ties from rounding, and a constant block at the top
+        rng = np.random.default_rng(n)
+        x = np.round(pareto(rng, n, 1.5), 2)
+        top = max(2, n // 200)
+        x[np.argsort(x)[-top:]] = x.max()
+        grid = tuple(k for k in k_grid(n) if k > top)
+        for method, est in (("hill", hill_estimate), ("rank_size", rank_size_estimate)):
+            assert tail_curve(x, method, grid).points == tuple(est(x, k) for k in grid)
+
+    def test_estimators_receive_the_sorted_sample(self, rng, monkeypatch):
+        seen = []
+
+        def spy(est):
+            def wrapped(sample, k):
+                seen.append(bool(np.all(np.diff(sample) >= 0)))
+                return est(sample, k)
+            return wrapped
+
+        monkeypatch.setattr(tailindex, "hill_estimate", spy(hill_estimate))
+        monkeypatch.setattr(tailindex, "rank_size_estimate", spy(rank_size_estimate))
+        x = pareto(rng, 500, 1.2)
+        for method in ("hill", "rank_size"):
+            tail_curve(x, method, k_grid(500))
+        assert len(seen) == 2 * len(k_grid(500)) and all(seen)
 
     def test_unknown_method(self, rng):
         with pytest.raises(ValueError, match="method"):
