@@ -18,6 +18,7 @@ file, line and field.
 from __future__ import annotations
 
 import csv
+import math
 from datetime import date as Date
 from datetime import datetime
 
@@ -68,7 +69,7 @@ def _parse_number(raw: str, path, line: int, field: str) -> float:
         value = float(raw)
     except ValueError as exc:
         raise DataError(f"unparseable number {raw!r}", path=path, line=line, field=field) from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"non-finite number {raw!r}", path=path, line=line, field=field)
     return value
 

@@ -11,7 +11,11 @@ from robustts.bootstrap import (
     unit_root_report,
 )
 from robustts.errors import DataError
-from robustts.unitroot import unit_root_battery
+from robustts.ingest import ingest_counts
+from robustts.series import difference, positive_window
+from robustts.unitroot import _values, unit_root_battery
+
+from reference_bootstrap import resample_chunk as reference_chunk
 
 
 class TestFitSieve:
@@ -125,8 +129,27 @@ class TestResampleNull:
         assert abs(empirical / target - 1.0) < 0.10
 
 
+def sieve_with_roots(roots, n, seed):
+    """Sieve whose AR polynomial has the given inverse roots, with t(3) residuals."""
+    phi = -np.real(np.poly(roots))[1:]
+    resid = np.random.default_rng(seed).standard_t(3, n)
+    return SieveModel(phi=tuple(float(c) for c in phi), residuals=resid - resid.mean())
+
+
+def largest_root_modulus(phi):
+    """Largest modulus of the inverse roots of ``1 - sum_j phi_j z^j``."""
+    return float(max(abs(np.roots(np.r_[1.0, -np.asarray(phi)]))))
+
+
+def cascadia_d1_sieve(data_dir):
+    """The order-11 sieve of the Cascadia d1 fixture series (sum of phi about -5.5)."""
+    counts = ingest_counts(data_dir / "counts_infections.csv")
+    y = difference(positive_window(counts["Cascadia"]), 1)
+    return fit_sieve(np.diff(_values(y)), unit_root_battery(y).lag)
+
+
 class TestResampleChunk:
-    @pytest.mark.parametrize("p", [0, 3, 13])
+    @pytest.mark.parametrize("p", [0, 3, 13, 21])
     def test_rows_equal_resample_null(self, rng, p):
         model = fit_sieve(rng.standard_t(3, 160), p)
         seeds = [(7, 2, r) for r in range(1, 41)]
@@ -134,6 +157,56 @@ class TestResampleChunk:
         assert chunk.shape == (len(seeds), len(model.residuals))
         for row, seed in zip(chunk, seeds):
             assert np.array_equal(row, resample_null(model, seed))
+
+    @staticmethod
+    def assert_matches_filter(model, seeds):
+        got = bt._resample_chunk(model, seeds)
+        want = reference_chunk(model, seeds)
+        assert got.shape == want.shape
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [25, 149, 999])
+    @pytest.mark.parametrize("p", [1, 3, 13, 21])
+    def test_matches_recursive_filter(self, p, n):
+        dy = np.random.default_rng([p, n]).standard_t(3, n + p)
+        self.assert_matches_filter(fit_sieve(dy, p), [(5, p, n, r) for r in range(12)])
+
+    @pytest.mark.parametrize("n", [25, 149, 999])
+    def test_matches_recursive_filter_near_unit_root(self, n):
+        roots = [0.99, 0.99 * np.exp(0.3j), 0.99 * np.exp(-0.3j), -0.6]
+        model = sieve_with_roots(roots, n, seed=n)
+        assert largest_root_modulus(model.phi) == pytest.approx(0.99)
+        self.assert_matches_filter(model, [(6, n, r) for r in range(12)])
+
+    def test_matches_recursive_filter_on_fixture_sieve(self, data_dir):
+        model = cascadia_d1_sieve(data_dir)
+        assert model.p == 11 and sum(model.phi) == pytest.approx(-5.5, abs=0.1)
+        assert largest_root_modulus(model.phi) == pytest.approx(0.847, abs=2e-3)
+        self.assert_matches_filter(model, [(7, r) for r in range(40)])
+
+    def test_kernel_built_once_per_report(self, monkeypatch):
+        builds, chunks = [], []
+        kernel, chunk = bt._recolour_kernel, bt._resample_chunk
+
+        def counting_kernel(phi, n):
+            builds.append((phi, n))
+            return kernel(phi, n)
+
+        def counting_chunk(model, seeds):
+            chunks.append(len(seeds))
+            return chunk(model, seeds)
+
+        monkeypatch.setattr(bt, "_recolour_kernel", counting_kernel)
+        monkeypatch.setattr(bt, "_resample_chunk", counting_chunk)
+        d = np.zeros(1000)
+        e = np.random.default_rng(4).standard_normal(1000)
+        for t in range(1, 1000):
+            d[t] = 0.6 * d[t - 1] + e[t]
+        rep = unit_root_report(np.cumsum(d), B=999, seed=0)
+        assert rep.stats.lag > 0
+        assert len(chunks) == 100 and sum(chunks) == 999
+        assert len(builds) == 1
 
 
 class TestPvalueRule:

@@ -380,18 +380,21 @@ main = robustts.cli.main
 assert main(["tailindex", "--counts", counts, "--out", out + "/curves"]) == 0
 assert main(["unitroot", "--counts", counts, "--B", "0", "--out", out + "/ur.csv"]) == 0
 assert not scipy_modules(), scipy_modules()
+bootstrap = ["--B", "99", "--seed", "42", "--out", out + "/ur99.csv"]
+assert main(["unitroot", "--counts", counts, *bootstrap]) == 0
+assert not scipy_modules(), scipy_modules()
 """
 
 
 def test_startup_loads_no_scipy(data_dir, tmp_path):
-    """Importing the CLI, tailindex and unitroot --B 0 run on numpy alone."""
+    """Importing the CLI, tailindex and unitroot, bootstrap included, run on numpy alone."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_CHILD, data_dir / "counts_infections.csv", tmp_path],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "ur.csv").is_file()
+    assert (tmp_path / "ur.csv").is_file() and (tmp_path / "ur99.csv").is_file()
 
 
 class TestUnitrootCommand:

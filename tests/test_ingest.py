@@ -48,6 +48,13 @@ class TestIngestCounts:
         msg = str(err.value)
         assert "line 2" in msg and "1/23/20" in msg and "oops" in msg
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_number_names_location(self, tmp_path, raw):
+        p = write(tmp_path, "c.csv", f"{COUNTS_HEADER}\n,X,0,0,1,{raw}\n")
+        with pytest.raises(DataError, match=f"non-finite number {raw!r}") as err:
+            ingest_counts(p)
+        assert (err.value.path, err.value.line, err.value.field) == (p, 2, "1/23/20")
+
     def test_negative_count_rejected(self, tmp_path):
         p = write(tmp_path, "c.csv", f"{COUNTS_HEADER}\n,X,0,0,1,-2\n")
         with pytest.raises(DataError, match="negative cumulative"):

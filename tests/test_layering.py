@@ -3,11 +3,14 @@
 Every relative import in ``src/robustts/*.py`` (function-level ones included)
 must appear in ``ALLOWED``, and every entry there must still be used, so a new
 cross-layer import, or a removed one, has to edit this table on purpose.
-``"__init__"`` stands for ``from . import ...``.  The six statistic names are
+``"__init__"`` stands for ``from . import ...``.  ``THIRD_PARTY`` pins the
+top-level packages outside the standard library that each module imports, so
+scipy stays confined to the regression p-values.  The six statistic names are
 likewise pinned to ``unitroot.py``, the one module allowed to spell them.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,19 @@ ALLOWED = {
     "cli": {
         "__init__", "bootstrap", "errors", "ingest", "regression", "report", "series", "tailindex",
     },
+}
+
+THIRD_PARTY = {
+    "__init__": set(),
+    "errors": set(),
+    "series": {"numpy"},
+    "ingest": {"numpy"},
+    "unitroot": {"numpy"},
+    "bootstrap": {"numpy"},
+    "tailindex": {"numpy"},
+    "regression": {"numpy", "scipy"},
+    "report": set(),
+    "cli": set(),
 }
 
 # spelled as string constants in unitroot.py alone (``STAT_TAILS``)
@@ -49,13 +65,29 @@ def package_imports(path: Path) -> set[str]:
     return imports
 
 
+def third_party_imports(path: Path) -> set[str]:
+    """Top-level names of absolute imports outside the standard library and the package."""
+    imports = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            imports.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            imports.update(alias.name.split(".")[0] for alias in node.names)
+    return imports - set(sys.stdlib_module_names) - {"robustts"}
+
+
 def test_every_module_is_in_the_table():
-    assert {p.stem for p in PACKAGE.glob("*.py")} == set(ALLOWED)
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(ALLOWED) == set(THIRD_PARTY)
 
 
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_match_table(module):
     assert package_imports(PACKAGE / f"{module}.py") == ALLOWED[module]
+
+
+@pytest.mark.parametrize("module", sorted(THIRD_PARTY))
+def test_third_party_imports_match_table(module):
+    assert third_party_imports(PACKAGE / f"{module}.py") == THIRD_PARTY[module]
 
 
 def string_constants(path: Path) -> set[str]:
