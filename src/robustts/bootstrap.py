@@ -7,8 +7,9 @@ cumulation are one FFT convolution with the sieve's cumulated impulse response.
 The battery (including lag re-selection) is recomputed on each replicate and
 p-values are rank based: ``p = (1 + #at-least-as-extreme) / (B + 1)``.
 
-Replicates are resampled and evaluated in chunks by the batched battery
-kernel ``unitroot._battery_batch``; the chunk size depends only on the series
+Replicates are resampled in chunks by ``_resample_chunk``, the one
+resampler, and evaluated by the batched battery kernel
+``unitroot._battery_batch``; the chunk size depends only on the series
 length.  Replication ``r`` draws its multipliers from a seed derived only
 from the base seed and ``r``, so results never depend on evaluation order.
 """
@@ -38,7 +39,6 @@ __all__ = [
     "UnitRootReport",
     "fit_sieve",
     "rademacher",
-    "resample_null",
     "unit_root_report",
 ]
 
@@ -171,10 +171,18 @@ def _recolour_kernel(phi: tuple[float, ...], n: int) -> tuple[int, np.ndarray]:
 
 
 def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
-    """One bootstrap series per seed, stacked as rows; see :func:`resample_null`.
+    """One bootstrap series per seed, stacked as rows.
 
-    Rows are transformed independently, so row ``i`` equals
-    ``resample_null(model, seeds[i])`` bit for bit.
+    ``eps*_t = w_t * e_t`` with Rademacher ``w`` drawn from the row's seed;
+    the differences follow ``d*_t = sum_j phi_j d*_{t-j} + eps*_t`` from zero
+    pre-sample values, and the level series is their cumulative sum (unit
+    root imposed).  For ``p > 0`` that is one FFT convolution ``eps* ⊛ c``
+    with the cumulated impulse response ``c`` of ``1/phi(L)``, exact to
+    rounding relative to the largest ``|c_t|``: an explosive sieve (AR root
+    modulus >= 1) loses accuracy in its early values.
+
+    Rows are transformed independently, so a row's bits do not depend on the
+    other seeds in its chunk.
     """
     eps = np.stack([rademacher(seed, len(model.residuals)) for seed in seeds]) * model.residuals
     if model.p == 0:
@@ -183,21 +191,6 @@ def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
     # copied out of the padded buffer: returning a view of it cost about 1,000 page
     # faults per chunk of T=150 replicates in a loop of reports (counted by getrusage)
     return np.fft.irfft(np.fft.rfft(eps, L, axis=1) * kernel, L, axis=1)[:, : eps.shape[1]].copy()
-
-
-def resample_null(model: SieveModel, seed) -> np.ndarray:
-    """One bootstrap series: wild innovations, AR recolouring, cumulation.
-
-    ``eps*_t = w_t * e_t`` with fresh Rademacher ``w``; the differences follow
-    ``d*_t = sum_j phi_j d*_{t-j} + eps*_t`` from zero pre-sample values, and
-    the level series is their cumulative sum (unit root imposed).
-
-    For ``p > 0`` it is one FFT convolution ``eps* ⊛ c`` with the cumulated
-    impulse response ``c`` of ``1/phi(L)``, exact to rounding relative to the
-    largest ``|c_t|``: an explosive sieve (AR root modulus >= 1) loses
-    accuracy in its early values.
-    """
-    return _resample_chunk(model, [seed])[0]
 
 
 def _pvalue(stat: float, replicates: np.ndarray, tail: str, B: int) -> float:

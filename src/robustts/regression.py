@@ -247,7 +247,7 @@ def long_run_variance(scores, bandwidth: float) -> np.ndarray:
     if not np.all(np.isfinite(omega)):
         raise NumericalError("QS long-run variance is not finite: the scores are too large")
     eigs = np.linalg.eigvalsh(omega)
-    if eigs[0] < -1e-10 * max(1.0, float(eigs[-1])):
+    if eigs[0] < -1e-10 * float(eigs[-1]):
         raise NumericalError("QS long-run variance lost positive semidefiniteness")
     return omega
 
@@ -262,17 +262,16 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-def hac_inference(fit: OlsFit, bandwidth: float | None = None) -> HacResult:
+def hac_inference(fit: OlsFit) -> HacResult:
     """HAC sandwich t-statistics with two-sided standard-normal p-values.
 
-    The long-run variance uses the raw scores ``x_t * e_t``; the automatic
-    bandwidth is computed from scores of demeaned regressors, so constant
-    columns carry zero weight and slope inference ignores regressor location.
+    The long-run variance uses the raw scores ``x_t * e_t`` at the automatic
+    Andrews bandwidth, which is computed from scores of demeaned regressors,
+    so constant columns carry zero weight and slope inference ignores
+    regressor location.
     """
     scores = fit.X * fit.residuals[:, None]
-    if bandwidth is None:
-        bw_scores = (fit.X - fit.X.mean(axis=0)) * fit.residuals[:, None]
-        bandwidth = andrews_bandwidth(bw_scores)
+    bandwidth = andrews_bandwidth((fit.X - fit.X.mean(axis=0)) * fit.residuals[:, None])
     omega = long_run_variance(scores, bandwidth)
     xtx_inv = np.linalg.inv(fit.X.T @ fit.X)
     cov = xtx_inv @ (fit.T * omega) @ xtx_inv

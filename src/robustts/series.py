@@ -13,6 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
+from itertools import compress, count
+from operator import le
 
 import numpy as np
 
@@ -42,7 +44,7 @@ def _readonly(values) -> np.ndarray:
 
 def first_unordered(dates) -> int | None:
     """Index of the first date not strictly after its predecessor, or None."""
-    return next((i for i in range(1, len(dates)) if dates[i] <= dates[i - 1]), None)
+    return next(compress(count(1), map(le, dates[1:], dates)), None)
 
 
 def shared_dates(dates, other) -> tuple[np.ndarray, np.ndarray]:

@@ -164,10 +164,10 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     lag = np.argmin(maic, axis=1)
 
     # GLS demeaning, then one stacked ADF fit with every row at its own lag:
-    # a row's observations before its sample are zeroed, and the rows and
-    # columns of its Gram matrix for lags beyond its own are those of the
-    # identity, so they solve to zeros and the cost does not depend on the
-    # lags chosen
+    # a row's observations before its sample are zeroed, and so are its lag
+    # variables beyond its own lag, whose Gram rows and columns are then zero;
+    # a unit diagonal there keeps the solve regular and gives zero
+    # coefficients, so the cost does not depend on the lags chosen
     rho = 1.0 + DEFAULT_C_BAR / T
     ya = np.empty_like(Y)
     ya[:, 0] = Y[:, 0]
@@ -178,13 +178,12 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     Z = _lag_design(V, k_max)
     before = np.arange(k_max) < lag[:, None]
     Z[:, :, :k_max] *= ~before[:, None, :]
+    beyond = np.arange(m) > lag[:, None]
+    Z[:, :m][beyond] = 0.0
     A = _gram(Z)
     G, g, rr = A[:, :m, :m], A[:, :m, m:], A[:, m, m]
-    beyond = np.arange(m) > lag[:, None]
-    G[beyond[:, :, None] | beyond[:, None, :]] = 0.0
     diag = np.arange(m)
     G[:, diag, diag] += beyond
-    g[beyond] = 0.0
     e0 = np.zeros_like(g)
     e0[:, 0] = 1.0
     sol = _solve_normal(G, np.concatenate((g, e0), axis=2))
@@ -217,11 +216,10 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     s_dd, s_dl, s_ll = _rowdot(D, D), _rowdot(D, L), _rowdot(L, L)
     h = LR_C_GRID / T
     sig2 = (s_dd[:, None] + 2.0 * h * s_dl[:, None] + h**2 * s_ll[:, None]) / (T - 1)
-    sig2_null = s_dd / (T - 1)
-    if not (np.all(sig2_null > 0) and np.all(sig2 > 0)):
+    if not np.all(sig2 > 0):
         raise NumericalError("degenerate AR(1) profile (constant series)")
-    best = np.minimum(sig2.min(axis=1), sig2_null)
-    lr = (T - 1) * (np.log(sig2_null) - np.log(best))
+    # LR_C_GRID starts at c = 0, so column 0 is the null variance s_dd / (T-1)
+    lr = (T - 1) * (np.log(sig2[:, 0]) - np.log(sig2.min(axis=1)))
 
     out = dict(zip(STAT_TAILS, (lr, mz_alpha, msb, mz_t, mp_t, adf)))
     if not all(np.all(np.isfinite(v)) for v in (*out.values(), s2_ar)):

@@ -36,6 +36,6 @@ def long_run_variance(scores, bandwidth: float) -> np.ndarray:
     if not np.all(np.isfinite(omega)):
         raise NumericalError("QS long-run variance is not finite: the scores are too large")
     eigs = np.linalg.eigvalsh(omega)
-    if eigs[0] < -1e-10 * max(1.0, float(eigs[-1])):
+    if eigs[0] < -1e-10 * float(eigs[-1]):
         raise NumericalError("QS long-run variance lost positive semidefiniteness")
     return omega

@@ -7,7 +7,6 @@ from robustts.bootstrap import (
     SieveModel,
     fit_sieve,
     rademacher,
-    resample_null,
     unit_root_report,
 )
 from robustts.errors import DataError
@@ -85,7 +84,7 @@ class TestResampleNull:
         dy = rng.standard_normal(40)
         model = fit_sieve(dy, 0)
         monkeypatch.setattr(bt, "rademacher", lambda seed, n: np.ones(n))
-        y_star = resample_null(model, seed=0)
+        y_star = bt._resample_chunk(model, [0])[0]
         assert np.allclose(y_star, np.cumsum(dy - dy.mean()))
 
     def test_zero_phi_keeps_innovations(self, rng, monkeypatch):
@@ -94,13 +93,13 @@ class TestResampleNull:
         model = SieveModel(phi=(0.0,), residuals=resid)
         w = rademacher(3, len(model.residuals))
         monkeypatch.setattr(bt, "rademacher", lambda seed, n: w)
-        y_star = resample_null(model, seed=0)
+        y_star = bt._resample_chunk(model, [0])[0]
         assert np.allclose(np.diff(y_star, prepend=0.0), w * model.residuals)
 
     def test_unit_root_imposed(self, rng):
         dy = rng.standard_normal(200)
         model = fit_sieve(dy, 2)
-        y_star = resample_null(model, seed=11)
+        y_star = bt._resample_chunk(model, [11])[0]
         # the differences must satisfy the AR recursion exactly
         d = np.diff(y_star, prepend=0.0)
         eps = rademacher((11,), len(model.residuals)) * model.residuals
@@ -123,7 +122,7 @@ class TestResampleNull:
             d[t] = phi * d[t - 1] + e[t]
         model = fit_sieve(d, 1)
         m = len(model.residuals)
-        ends = np.array([resample_null(model, seed=(31, r))[-1] for r in range(2000)])
+        ends = np.array([bt._resample_chunk(model, [(31, r)])[0][-1] for r in range(2000)])
         empirical = np.var(ends / np.sqrt(m))
         target = np.mean(model.residuals**2) / (1.0 - model.phi[0]) ** 2
         assert abs(empirical / target - 1.0) < 0.10
@@ -150,13 +149,13 @@ def cascadia_d1_sieve(data_dir):
 
 class TestResampleChunk:
     @pytest.mark.parametrize("p", [0, 3, 13, 21])
-    def test_rows_equal_resample_null(self, rng, p):
+    def test_rows_equal_one_seed_chunks(self, rng, p):
         model = fit_sieve(rng.standard_t(3, 160), p)
         seeds = [(7, 2, r) for r in range(1, 41)]
         chunk = bt._resample_chunk(model, seeds)
         assert chunk.shape == (len(seeds), len(model.residuals))
         for row, seed in zip(chunk, seeds):
-            assert np.array_equal(row, resample_null(model, seed))
+            assert np.array_equal(row, bt._resample_chunk(model, [seed])[0])
 
     @staticmethod
     def assert_matches_filter(model, seeds):

@@ -5,7 +5,9 @@ must appear in ``ALLOWED``, and every entry there must still be used, so a new
 cross-layer import, or a removed one, has to edit this table on purpose.
 ``"__init__"`` stands for ``from . import ...``.  ``THIRD_PARTY`` pins the
 top-level packages outside the standard library that each module imports, so
-scipy stays confined to the regression p-values.  The six statistic names are
+scipy stays confined to the regression p-values.  ``PUBLIC`` pins each
+module's ``__all__`` (``None`` where it has none), so adding or removing a
+public name edits this file on purpose too.  The six statistic names are
 likewise pinned to ``unitroot.py``, the one module allowed to spell them.
 """
 
@@ -45,6 +47,34 @@ THIRD_PARTY = {
     "cli": set(),
 }
 
+PUBLIC = {
+    "__init__": [
+        "__version__", "RobusttsError", "DataError", "NumericalError", "Series", "PairedSample",
+        "FactorPanel", "unit_root_report", "hill_estimate", "rank_size_estimate", "k_grid",
+        "tail_curve", "predictive_report", "factor_report",
+    ],
+    "errors": None,
+    "series": [
+        "Series", "PairedSample", "FactorPanel", "difference", "simple_returns", "excess_returns",
+        "align_predictive", "positive_part", "positive_window",
+    ],
+    "ingest": ["ingest_counts", "ingest_prices", "ingest_rates", "ingest_factors"],
+    "unitroot": ["STAT_TAILS", "UnitRootStats", "default_k_max", "unit_root_battery"],
+    "bootstrap": [
+        "SieveModel", "BootstrapResult", "UnitRootReport", "fit_sieve", "rademacher",
+        "unit_root_report",
+    ],
+    "tailindex": ["TailFit", "TailCurve", "hill_estimate", "rank_size_estimate", "k_grid", "tail_curve"],
+    "regression": [
+        "OlsFit", "HacResult", "GroupInference", "FACTOR_MODELS", "CoefficientInference",
+        "InferenceReport", "PredictiveInference", "ols", "classical_tstats", "qs_kernel",
+        "andrews_bandwidth", "long_run_variance", "hac_inference", "significance_stars",
+        "group_partition", "im_tstat", "grouped_ols", "predictive_report", "factor_report",
+    ],
+    "report": ["Table", "render_table", "unitroot_table", "predict_table", "factor_table", "emit_tail_curve"],
+    "cli": None,
+}
+
 # spelled as string constants in unitroot.py alone (``STAT_TAILS``)
 STATISTIC_NAMES = {"LR", "MZa", "MSB", "MZt", "MPt", "ADF"}
 
@@ -76,8 +106,16 @@ def third_party_imports(path: Path) -> set[str]:
     return imports - set(sys.stdlib_module_names) - {"robustts"}
 
 
+def public_names(path: Path) -> list[str] | None:
+    """The module's ``__all__`` literal, or None when it has none."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
 def test_every_module_is_in_the_table():
-    assert {p.stem for p in PACKAGE.glob("*.py")} == set(ALLOWED) == set(THIRD_PARTY)
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(ALLOWED) == set(THIRD_PARTY) == set(PUBLIC)
 
 
 @pytest.mark.parametrize("module", sorted(ALLOWED))
@@ -88,6 +126,11 @@ def test_module_imports_match_table(module):
 @pytest.mark.parametrize("module", sorted(THIRD_PARTY))
 def test_third_party_imports_match_table(module):
     assert third_party_imports(PACKAGE / f"{module}.py") == THIRD_PARTY[module]
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_public_names_match_table(module):
+    assert public_names(PACKAGE / f"{module}.py") == PUBLIC[module]
 
 
 def string_constants(path: Path) -> set[str]:

@@ -138,11 +138,13 @@ class TestClassicalTstats:
 
 
 class TestHacInference:
-    def test_white_equivalence_at_zero_bandwidth(self, rng):
+    def test_white_equivalence_at_zero_bandwidth(self, rng, monkeypatch):
         X = design(rng.standard_normal(200))
         y = rng.standard_normal(200) * (1 + np.abs(X[:, 1]))
         fit = ols(X, y)
-        hac = hac_inference(fit, bandwidth=0.0)
+        monkeypatch.setattr(regression, "andrews_bandwidth", lambda scores: 0.0)
+        hac = hac_inference(fit)
+        assert hac.bandwidth == 0.0
         xtx_inv = np.linalg.inv(X.T @ X)
         meat = X.T @ (X * (fit.residuals**2)[:, None])
         white_se = np.sqrt(np.diag(xtx_inv @ meat @ xtx_inv))
@@ -173,6 +175,16 @@ class TestHacInference:
     def test_lrv_overflow(self, rng):
         with pytest.raises(NumericalError, match="long-run variance is not finite"):
             long_run_variance(rng.standard_normal((50, 2)) * 1e200, 3.0)
+
+    @pytest.mark.parametrize("scale", [2.0**-400, 1.0, 2.0**400])
+    def test_lrv_psd_check_is_scale_free(self, scale):
+        # at bandwidth 10T the smallest eigenvalue is a near-cancellation:
+        # -2.3e-10 of the largest for the seed-0 scores, -9e-12 for seed 3
+        T = 5000
+        failing, passing = (np.random.default_rng(s).standard_t(2, (T, 7)) for s in (0, 3))
+        with pytest.raises(NumericalError, match="lost positive semidefiniteness"):
+            long_run_variance(failing * scale, 10.0 * T)
+        long_run_variance(passing * scale, 10.0 * T)
 
     def test_one_kernel_evaluation_per_call(self, rng, monkeypatch):
         calls = []

@@ -10,6 +10,7 @@ from robustts.series import (
     align_predictive,
     difference,
     excess_returns,
+    first_unordered,
     positive_part,
     positive_window,
     simple_returns,
@@ -35,6 +36,26 @@ class TestSeriesInvariants:
         s = make_series([1.0, 2.0])
         with pytest.raises(ValueError):
             s.values[0] = 9.0
+
+
+class TestFirstUnordered:
+    D = [date(2020, 1, d) for d in range(1, 8)]
+
+    @pytest.mark.parametrize(
+        "dates, want",
+        [
+            ([], None),
+            (D[:1], None),
+            (D, None),
+            ([D[0], D[1], D[1], D[2]], 2),
+            ([D[0], D[2], D[1], D[1]], 2),
+            (D[::-1], 1),
+            (D[:5] + [D[4]], 5),
+        ],
+    )
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_index_of_first_step_not_strictly_up(self, dates, want, container):
+        assert first_unordered(container(dates)) == want
 
 
 class TestDifference:
