@@ -4,10 +4,11 @@ The HAC route uses the quadratic spectral kernel with the AR(1) plug-in
 automatic bandwidth and standard-normal p-values.  The grouped route splits
 the sample into q consecutive blocks, re-estimates the full regression in
 each block and applies the Student-t statistic of the block estimates
-(size control is guaranteed for test levels up to 8.3%).  Normal and
-Student-t p-values come from ``scipy.special.ndtr`` and ``stdtr``, which
-``scipy.stats``' ``norm.sf`` and ``t.sf`` evaluate, so they match those bit
-for bit.
+(size control is guaranteed for test levels up to 8.3%).  P-values use
+numpy and ``math`` alone: the normal one is ``math.erfc``, the Student-t one
+the regularised incomplete beta function by a continued fraction
+(DiDonato & Morris 1992).  Both stay within 1e-12 relative of
+``scipy.stats``' ``norm.sf`` and ``t.sf``.
 
 Bandwidth scores are built from demeaned regressors, which zeroes the
 intercept's score (the usual convention) and makes every slope t-statistic
@@ -51,6 +52,8 @@ GROUP_MAX_VALID_LEVEL = 0.083
 DEFAULT_QS = (4, 8, 12, 16)
 QS_BANDWIDTH_CONSTANT = 1.3221
 RHO_CLAMP = 0.97
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -145,17 +148,77 @@ def ols(X, y) -> OlsFit:
     return OlsFit(coefficients=coef, residuals=y - X @ coef, X=X)
 
 
+def _log_beta_half(a: float) -> float:
+    """``log B(a, 1/2)`` within 7e-15: the ``lgamma`` difference below a = 20,
+    above it (where that difference is 6e-13 off at a = 2,499.5) the
+    asymptotic series of ``log Gamma(a + 1/2) - log Gamma(a)`` to ``a^-7``."""
+    if a < 20.0:
+        return math.lgamma(a) + _LOG_SQRT_PI - math.lgamma(a + 0.5)
+    r2 = 1.0 / (a * a)
+    series = 0.125 - r2 * (1 / 192 - r2 * (1 / 640 - r2 * (17 / 14336)))
+    return _LOG_SQRT_PI - 0.5 * math.log(a) + series / a
+
+
+def _beta_cf(a: float, b: float, z: float) -> float:
+    """``I_x(a, b) a B(a, b) / (x^a (1 - x)^(b - 1))`` as a continued fraction in
+    ``z = x / (1 - x)`` (DiDonato & Morris 1992; Cephes ``incbd``), by modified
+    Lentz.  For b < 1 every partial numerator is positive, so nothing cancels
+    where Numerical Recipes' ``betacf`` in x loses up to 5e-13 (df near 5,000)."""
+    g = c = 1.0
+    d = n = 0.0
+    k = a  # a + 2n
+    while True:
+        s = z * (a + n) * (1.0 - b + n) / (k * (k + 1.0))
+        d = 1.0 / (1.0 + s * d)
+        c = 1.0 + s / c
+        g *= c * d
+        s = z * (n + 1.0) * (a + b + n) / ((k + 1.0) * (k + 2.0))
+        d = 1.0 / (1.0 + s * d)
+        c = 1.0 + s / c
+        s = c * d
+        g *= s
+        if abs(s - 1.0) < 1e-15:
+            return 1.0 / g
+        n += 1.0
+        k += 2.0
+
+
+def _student_p(t: float, df: float) -> float:
+    """Two-sided Student-t p-value ``I_x(df/2, 1/2)``, ``x = df / (df + t^2)``.
+
+    ``log x`` and ``log(1 - x)`` come from ``u = t^2 / df``, not from a rounded
+    x, whose relative error the result would take times df / 2.  The fraction
+    runs on x below ``(a + 1) / (a + 5/2)``, a = df / 2 (the Numerical Recipes
+    switch), else on ``1 - x`` for the complement.
+    """
+    u = t * t / df
+    if u == 0.0:
+        return 1.0
+    if math.isnan(u):
+        return math.nan
+    a = 0.5 * df
+    # past t = 1.3e154 t^2 overflows; log x is then log df - 2 log t within df / t^2
+    lx = -math.log1p(u) if u < math.inf else math.log(df) - 2.0 * math.log(t)
+    ly = -math.log1p(1.0 / u)
+    lb = _log_beta_half(a)
+    if (a + 1.0) * u > 1.5:
+        return math.exp(a * lx - 0.5 * ly - lb) / a * _beta_cf(a, 0.5, 1.0 / u)
+    return 1.0 - 2.0 * math.exp((a - 1.0) * lx + 0.5 * ly - lb) * _beta_cf(0.5, a, u)
+
+
 def _two_sided_p(t_abs, df=None):
     """``2 * P(Z > t_abs)``: standard normal if ``df`` is None, else Student t.
 
-    ``scipy.special`` is imported on first use so that importing the package
-    loads numpy only.
+    Within 1e-12 relative of ``scipy.stats``' ``norm.sf`` and ``t.sf`` where
+    those are normal doubles.  A scalar loop: for the few t-statistics of a
+    regression, numpy ufuncs per step would cost more than the arithmetic.
     """
-    from scipy.special import ndtr, stdtr
-
+    t = np.asarray(t_abs, dtype=float)
     if df is None:
-        return 2.0 * ndtr(-t_abs)
-    return 2.0 * stdtr(df, -t_abs)
+        p = [math.erfc(x * _SQRT_HALF) for x in t.ravel().tolist()]
+    else:
+        p = [_student_p(x, df) for x in t.ravel().tolist()]
+    return np.array(p).reshape(t.shape)
 
 
 def classical_tstats(fit: OlsFit) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +371,7 @@ def im_tstat(group_estimates) -> GroupInference:
     if s == 0.0:
         raise NumericalError("zero variance across group estimates")
     t_stat = math.sqrt(q) * float(np.mean(est)) / s
-    p_value = float(_two_sided_p(abs(t_stat), q - 1))
+    p_value = _student_p(abs(t_stat), q - 1)
     return GroupInference(group_estimates=tuple(float(e) for e in est), t_stat=t_stat, p_value=p_value)
 
 

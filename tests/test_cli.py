@@ -368,6 +368,7 @@ class TestExitCodes:
 
 STARTUP_CHILD = """
 import sys
+from pathlib import Path
 
 import robustts, robustts.cli
 
@@ -375,7 +376,8 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 assert not scipy_modules(), scipy_modules()
-counts, out = sys.argv[1], sys.argv[2]
+data, out = Path(sys.argv[1]), sys.argv[2]
+counts, prices = str(data / "counts_infections.csv"), str(data / "prices")
 main = robustts.cli.main
 assert main(["tailindex", "--counts", counts, "--out", out + "/curves"]) == 0
 assert main(["unitroot", "--counts", counts, "--B", "0", "--out", out + "/ur.csv"]) == 0
@@ -383,18 +385,26 @@ assert not scipy_modules(), scipy_modules()
 bootstrap = ["--B", "99", "--seed", "42", "--out", out + "/ur99.csv"]
 assert main(["unitroot", "--counts", counts, *bootstrap]) == 0
 assert not scipy_modules(), scipy_modules()
+rates = str(data / "rates.csv")
+assert main(["predict", "--counts", counts, "--prices-dir", prices, "--rates", rates,
+             "--out", out + "/pred.csv"]) == 0
+factors = ["--index", "AVX", "--factors", str(data / "factors.csv"), "--out", out + "/fac.csv"]
+assert main(["factors", "--prices-dir", prices, *factors]) == 0
+assert not scipy_modules(), scipy_modules()
 """
 
 
 def test_startup_loads_no_scipy(data_dir, tmp_path):
-    """Importing the CLI, tailindex and unitroot, bootstrap included, run on numpy alone."""
+    """Importing the CLI and running every command, the bootstrap and the
+    regression p-values included, loads no scipy module."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_CHILD, data_dir / "counts_infections.csv", tmp_path],
+        [sys.executable, "-c", STARTUP_CHILD, data_dir, tmp_path],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "ur.csv").is_file() and (tmp_path / "ur99.csv").is_file()
+    for name in ("ur.csv", "ur99.csv", "pred.csv", "fac.csv"):
+        assert (tmp_path / name).is_file(), name
 
 
 class TestUnitrootCommand:

@@ -5,7 +5,7 @@ must appear in ``ALLOWED``, and every entry there must still be used, so a new
 cross-layer import, or a removed one, has to edit this table on purpose.
 ``"__init__"`` stands for ``from . import ...``.  ``THIRD_PARTY`` pins the
 top-level packages outside the standard library that each module imports, so
-scipy stays confined to the regression p-values.  ``PUBLIC`` pins each
+the runtime stays on numpy alone (no scipy).  ``PUBLIC`` pins each
 module's ``__all__`` (``None`` where it has none), so adding or removing a
 public name edits this file on purpose too.  The six statistic names are
 likewise pinned to ``unitroot.py``, the one module allowed to spell them.
@@ -42,7 +42,7 @@ THIRD_PARTY = {
     "unitroot": {"numpy"},
     "bootstrap": {"numpy"},
     "tailindex": {"numpy"},
-    "regression": {"numpy", "scipy"},
+    "regression": {"numpy"},
     "report": set(),
     "cli": set(),
 }

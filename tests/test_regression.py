@@ -10,6 +10,7 @@ from robustts.errors import DataError, NumericalError
 from robustts.regression import (
     FACTOR_MODELS,
     FactorPanel,
+    _log_beta_half,
     _two_sided_p,
     andrews_bandwidth,
     classical_tstats,
@@ -255,19 +256,59 @@ class TestLongRunVarianceReference:
 
 
 class TestTwoSidedP:
-    """The ``scipy.special`` p-values equal ``scipy.stats``' bit for bit."""
+    """The numpy-only p-values stay within 1e-12 relative of ``scipy.stats``.
+
+    Where the reference is below the smallest normal double, the result only
+    has to be below it too.  For df = 1 and 2 the reference is the closed
+    form, since ``t.sf`` itself is 2.8e-11 off at df = 1, t = 1e-6.
+    """
 
     X = np.concatenate(
-        [[0.0, 5e-324, 1e-300, 1e-12, 1e-6], np.geomspace(1e-3, 40.0, 4001), [np.inf]]
+        [[0.0, 5e-324, 1e-300, 1e-12, 1e-6], np.geomspace(1e-3, 40.0, 4001),
+         [1e2, 1e4, 1e8, 1e160, 1e300, np.inf]]
     )
 
-    def test_normal(self):
-        assert np.array_equal(_two_sided_p(self.X), 2.0 * norm.sf(self.X))
+    @staticmethod
+    def assert_close(got, want):
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-12 * want[normal])
+        assert np.all(got[~normal] < np.finfo(float).tiny)
 
-    @pytest.mark.parametrize("df", [1, 3, 7, 15, 134, 4999])
+    def test_normal(self):
+        self.assert_close(_two_sided_p(self.X), 2.0 * norm.sf(self.X))
+
+    @pytest.mark.parametrize("df", list(range(1, 17)) + [39, 40, 41, 60, 134, 243, 4993, 4999])
     def test_student_t(self, df):
-        assert np.array_equal(_two_sided_p(self.X, df), 2.0 * student_t.sf(self.X, df))
-        assert float(_two_sided_p(1.7, df)) == 2.0 * float(student_t.sf(1.7, df))
+        with np.errstate(divide="ignore", over="ignore"):
+            if df == 1:
+                want = 2.0 / np.pi * np.arctan(1.0 / self.X)
+            elif df == 2:
+                s = np.sqrt(2.0 + self.X**2)
+                want = np.where(np.isinf(s), 0.0, 2.0 / (s * (s + self.X)))
+            else:
+                want = 2.0 * student_t.sf(self.X, df)
+        got = _two_sided_p(self.X, df)
+        self.assert_close(got, want)
+        assert np.all(np.diff(got) <= 0.0)
+
+    def test_log_beta_recurrence(self):
+        """``B(a + 1, 1/2) = B(a, 1/2) a / (a + 1/2)``, across the series switch at a = 20."""
+        for a in np.concatenate([np.arange(0.5, 60.0, 0.5), np.geomspace(60.0, 1e7, 200)]):
+            step = _log_beta_half(a + 1.0) - _log_beta_half(a)
+            assert abs(step + math.log1p(0.5 / a)) <= 3e-14, a
+
+    @pytest.mark.parametrize("df", [None, 1, 3, 243, 4999])
+    def test_ends_range_and_shapes(self, df):
+        assert float(_two_sided_p(0.0, df)) == 1.0
+        assert float(_two_sided_p(np.inf, df)) == 0.0
+        assert np.isnan(_two_sided_p(np.nan, df))
+        got = _two_sided_p(self.X, df)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert _two_sided_p(1.7, df).shape == ()
+        vector = np.array([0.3, 1.7, 2.2, 11.0, 0.0, 40.0, 3.1])
+        got = _two_sided_p(vector, df)
+        assert got.shape == (7,)
+        assert got.tolist() == [float(_two_sided_p(v, df)) for v in vector]
 
 
 class TestGroupPartition:
