@@ -251,8 +251,8 @@ def andrews_bandwidth(scores) -> float:
 
     Each score series contributes with unit weight through
     ``alpha(2) = sum(4 rho^2 s^4 / (1-rho)^8) / sum(s^4 / (1-rho)^4)``;
-    the bandwidth is ``1.3221 * (alpha(2) * T)^(1/5)``.  Near-unit-root
-    fits are clamped to ``|rho| <= 0.97`` so the bandwidth stays finite.
+    the bandwidth is ``1.3221 * (alpha(2) * T)^(1/5)``.  A fit with
+    ``|rho| >= 1`` is replaced by ``+-0.97``; any ``|rho| < 1`` is used as is.
     """
     V = np.asarray(scores, dtype=float)
     if V.ndim == 1:

@@ -106,6 +106,8 @@ class PairedSample:
         n = len(self.y)
         if not (len(self.x) == len(self.dates) == n):
             raise ValueError("y, x, dates must share one length")
+        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.x))):
+            raise ValueError("paired sample values must be finite")
         if n < 4:
             raise ValueError(f"paired sample needs at least 4 observations, got {n}")
         if self.x_dates:
@@ -122,7 +124,7 @@ class PairedSample:
 
 @dataclass(frozen=True)
 class FactorPanel:
-    """Dated factor columns, already in per-period fractions."""
+    """Dated factor columns, already in per-period fractions; every value finite."""
 
     dates: tuple[Date, ...]
     columns: dict[str, np.ndarray]
@@ -134,6 +136,8 @@ class FactorPanel:
             cols[name] = _readonly(vals)
             if len(cols[name]) != len(self.dates):
                 raise ValueError(f"column {name!r} length mismatch")
+            if not np.all(np.isfinite(cols[name])):
+                raise ValueError(f"column {name!r} values must be finite")
         object.__setattr__(self, "columns", cols)
         if first_unordered(self.dates) is not None:
             raise ValueError("panel dates must be strictly increasing")

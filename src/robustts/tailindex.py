@@ -2,9 +2,9 @@
 
 Both estimators work on the k largest order statistics of a strictly
 positive sample.  The rank-size regression applies the small-sample shift of
-1/2 in ranks by default, with standard error ``sqrt(2/k) * zeta``; the Hill
-standard error is ``zeta / sqrt(k)``.  Confidence bands use the normal 1.96
-multiplier at every truncation level.
+1/2 in ranks, with standard error ``sqrt(2/k) * zeta``; the Hill standard
+error is ``zeta / sqrt(k)``.  Confidence bands use the normal 1.96 multiplier
+at every truncation level.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = ["TailFit", "TailCurve", "hill_estimate", "rank_size_estimate", "k_gri
 Z_95 = 1.96
 # the truncation grid of :func:`k_grid`: lo_frac, hi_frac, steps
 DEFAULT_GRID = (0.025, 0.15, 20)
+RANK_SHIFT = 0.5  # ln(rank - 1/2): the rank-size small-sample bias correction
 
 
 @dataclass(frozen=True)
@@ -81,51 +82,45 @@ def _positive_values(sample) -> np.ndarray:
     return vals
 
 
+def _top_descending(sample, k: int, extra: int) -> np.ndarray:
+    """The k + extra largest values, largest first, for k in [2, n - extra]."""
+    vals = _positive_values(sample)
+    hi = len(vals) - extra
+    if not 2 <= k <= hi:
+        raise ValueError(f"k must be in [2, {hi}], got {k}")
+    return np.sort(vals)[::-1][: k + extra]
+
+
 def hill_estimate(sample, k: int) -> TailFit:
     """Hill estimator from the log-spacings of the top k order statistics.
 
     With descending order statistics ``X_(1) >= ... >= X_(n)``:
     ``zeta = k / sum_{i<=k} (ln X_(i) - ln X_(k+1))``.
     """
-    vals = _positive_values(sample)
-    n = len(vals)
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"k must be in [2, {n - 1}], got {k}")
-    desc = np.sort(vals, kind="stable")[::-1]
-    logs = np.log(desc[: k + 1])
+    logs = np.log(_top_descending(sample, k, 1))
     spacing_sum = float(np.sum(logs[:k]) - k * logs[k])
     if spacing_sum <= 0:
         raise NumericalError("zero log-spacing sum: top order statistics are all equal")
     zeta = k / spacing_sum
-    se = zeta / math.sqrt(k)
-    return TailFit(zeta=zeta, se=se, k=k, method="hill")
+    return TailFit(zeta=zeta, se=zeta / math.sqrt(k), k=k, method="hill")
 
 
-def rank_size_estimate(sample, k: int, shift: float = 0.5) -> TailFit:
+def rank_size_estimate(sample, k: int) -> TailFit:
     """Log-log rank-size regression over the k largest values.
 
-    Regresses ``ln(rank - shift)`` on ``ln(size)`` (rank 1 = largest); the
+    Regresses ``ln(rank - 1/2)`` on ``ln(size)`` (rank 1 = largest); the
     tail index is minus the slope and the standard error is
-    ``sqrt(2/k) * zeta``.  The default shift of 1/2 is the small-sample bias
-    correction; ``shift=0`` recovers the plain regression.
+    ``sqrt(2/k) * zeta``.
     """
-    vals = _positive_values(sample)
-    n = len(vals)
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be in [2, {n}], got {k}")
-    if not 0.0 <= shift < 1.0:
-        raise ValueError(f"shift must be in [0, 1), got {shift}")
-    sizes = np.sort(vals, kind="stable")[::-1][:k]
+    sizes = _top_descending(sample, k, 0)
     if np.all(sizes == sizes[0]):
         raise NumericalError("fewer than 2 distinct sizes among the top k values")
     x = np.log(sizes)
-    ydep = np.log(np.arange(1, k + 1) - shift)
+    ydep = np.log(np.arange(1, k + 1) - RANK_SHIFT)
     xc = x - x.mean()
-    slope = float(xc @ (ydep - ydep.mean())) / float(xc @ xc)
-    zeta = -slope
-    se = math.sqrt(2.0 / k) * zeta
-    intercept = float(ydep.mean() - slope * x.mean())
-    return TailFit(zeta=zeta, se=se, k=k, method="rank_size", log_scale=intercept)
+    zeta = -float(xc @ (ydep - ydep.mean())) / float(xc @ xc)  # minus the slope
+    intercept = float(ydep.mean() + zeta * x.mean())
+    return TailFit(zeta=zeta, se=math.sqrt(2.0 / k) * zeta, k=k, method="rank_size", log_scale=intercept)
 
 
 def k_grid(
@@ -144,17 +139,17 @@ def k_grid(
         raise ValueError("steps must be >= 1")
     fracs = np.linspace(lo_frac, hi_frac, steps)
     ks = np.clip(np.ceil(fracs * n).astype(int), 2, n - 1)
-    ks = np.unique(ks)
-    if len(ks) == 0:
-        raise NumericalError("empty truncation grid after clipping")
-    return tuple(int(k) for k in ks)
+    return tuple(int(k) for k in np.unique(ks))
 
 
 def tail_curve(sample, method: str, grid) -> TailCurve:
-    """Apply one estimator per k to the sample, sorted once (its own stable sort is then linear)."""
-    vals = np.sort(_positive_values(sample), kind="stable")
+    """Sort the sample once and fit each k of the grid to its ascending k+1 largest values.
+
+    A k outside [2, n-1] gets the whole sample, so the estimator rejects it against n.
+    """
+    vals = np.sort(_positive_values(sample))
     estimator = {"hill": hill_estimate, "rank_size": rank_size_estimate}.get(method)
     if estimator is None:
         raise ValueError(f"method must be 'hill' or 'rank_size', got {method!r}")
-    points = tuple(estimator(vals, int(k)) for k in grid)
+    points = tuple(estimator(vals[-k - 1 :] if 2 <= k < len(vals) else vals, k) for k in map(int, grid))
     return TailCurve(points=points, n=len(vals))

@@ -5,6 +5,7 @@ import pytest
 
 from robustts.errors import DataError
 from robustts.series import (
+    FactorPanel,
     PairedSample,
     Series,
     align_predictive,
@@ -170,6 +171,31 @@ class TestAlignPredictive:
     def test_paired_sample_invariants(self):
         with pytest.raises(ValueError, match="at least 4"):
             PairedSample([1.0, 2.0], [1.0, 2.0], (date(2020, 1, 1), date(2020, 1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["y", "x"])
+    def test_paired_sample_values_finite(self, field, bad):
+        values = {"y": [0.1, -0.2, 0.3, 0.0, 0.1], "x": [1.0, 2.0, 3.0, 4.0, 5.0]}
+        values[field][2] = bad
+        dates = make_series(np.zeros(5)).dates
+        with pytest.raises(ValueError, match="paired sample values must be finite"):
+            PairedSample(values["y"], values["x"], dates)
+
+
+class TestFactorPanel:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_columns_finite(self, bad):
+        dates = make_series(np.zeros(5)).dates
+        smb = [0.01, 0.0, bad, -0.01, 0.02]
+        with pytest.raises(ValueError, match="column 'SMB' values must be finite"):
+            FactorPanel(dates, {"Mkt.RF": np.full(5, 0.01), "SMB": smb})
+
+    def test_length_and_order(self):
+        dates = make_series(np.zeros(5)).dates
+        with pytest.raises(ValueError, match="length mismatch"):
+            FactorPanel(dates, {"SMB": np.zeros(4)})
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FactorPanel(dates[::-1], {"SMB": np.zeros(5)})
 
 
 class TestPositivePart:

@@ -7,6 +7,8 @@ import robustts.tailindex as tailindex
 from robustts.errors import NumericalError
 from robustts.tailindex import TailCurve, hill_estimate, k_grid, rank_size_estimate, tail_curve
 
+from conftest import plain_rank_size_zeta
+
 
 def pareto(rng, n, zeta):
     """Inverse-CDF draws with P(X > x) = x^-zeta on x >= 1."""
@@ -64,10 +66,11 @@ class TestRankSizeEstimate:
         assert fit.se == pytest.approx(math.sqrt(2.0 / 4) * fit.zeta)
         assert fit.ci95 == (fit.zeta - 1.96 * fit.se, fit.zeta + 1.96 * fit.se)
 
-    def test_exact_power_law_with_zero_shift(self):
+    def test_exact_power_law_in_shifted_ranks(self):
+        # sizes (rank - 1/2)^(-1/zeta) put ln(rank - 1/2) on an exact line in ln(size)
         zeta = 1.7
-        sizes = np.arange(1, 40) ** (-1.0 / zeta)
-        fit = rank_size_estimate(sizes, 39, shift=0.0)
+        sizes = (np.arange(1, 40) - 0.5) ** (-1.0 / zeta)
+        fit = rank_size_estimate(sizes, 39)
         assert fit.zeta == pytest.approx(zeta, abs=1e-10)
 
     def test_scale_moves_only_intercept(self, rng):
@@ -86,8 +89,8 @@ class TestRankSizeEstimate:
         bias_half, bias_zero = [], []
         for _ in range(500):
             x = pareto(rng, 50, 1.0)
-            bias_half.append(rank_size_estimate(x, 50, shift=0.5).zeta - 1.0)
-            bias_zero.append(rank_size_estimate(x, 50, shift=0.0).zeta - 1.0)
+            bias_half.append(rank_size_estimate(x, 50).zeta - 1.0)
+            bias_zero.append(plain_rank_size_zeta(x, 50) - 1.0)
         assert abs(np.mean(bias_half)) < abs(np.mean(bias_zero))
 
     def test_se_matches_sampling_variation(self):
@@ -99,10 +102,6 @@ class TestRankSizeEstimate:
     def test_distinct_sizes_required(self):
         with pytest.raises(NumericalError, match="distinct"):
             rank_size_estimate([3.0, 3.0, 3.0, 3.0], 4)
-
-    def test_shift_range(self, rng):
-        with pytest.raises(ValueError, match="shift"):
-            rank_size_estimate(pareto(rng, 20, 1.0), 5, shift=1.0)
 
 
 class TestKGrid:
@@ -162,11 +161,12 @@ class TestTailCurve:
             assert tail_curve(x, method, grid).points == tuple(est(x, k) for k in grid)
 
     def test_estimators_receive_the_sorted_sample(self, rng, monkeypatch):
+        # each call gets only the k+1 largest values, in ascending order
         seen = []
 
         def spy(est):
             def wrapped(sample, k):
-                seen.append(bool(np.all(np.diff(sample) >= 0)))
+                seen.append(bool(np.array_equal(sample, np.sort(x)[-(k + 1):])))
                 return est(sample, k)
             return wrapped
 
@@ -176,6 +176,21 @@ class TestTailCurve:
         for method in ("hill", "rank_size"):
             tail_curve(x, method, k_grid(500))
         assert len(seen) == 2 * len(k_grid(500)) and all(seen)
+
+    @pytest.mark.parametrize(
+        "method, k, message",
+        [
+            ("hill", 1, r"k must be in \[2, 99\], got 1"),
+            ("hill", 100, r"k must be in \[2, 99\], got 100"),
+            ("rank_size", 1, r"k must be in \[2, 100\], got 1"),
+            ("rank_size", 100, "largest k 100 exceeds n-1 = 99"),
+            ("rank_size", 101, r"k must be in \[2, 100\], got 101"),
+        ],
+    )
+    def test_grid_outside_range_reports_against_n(self, rng, method, k, message):
+        # a k outside [2, n-1] reaches the estimator with the whole sample
+        with pytest.raises(ValueError, match=message):
+            tail_curve(pareto(rng, 100, 1.0), method, (k,))
 
     def test_unknown_method(self, rng):
         with pytest.raises(ValueError, match="method"):
