@@ -9,9 +9,10 @@ p-values are rank based: ``p = (1 + #at-least-as-extreme) / (B + 1)``.
 
 Replicates are resampled in chunks by ``_resample_chunk``, the one
 resampler, and evaluated by the batched battery kernel
-``unitroot._battery_batch``; the chunk size depends only on the series
-length.  Replication ``r`` draws its multipliers from a seed derived only
-from the base seed and ``r``, so results never depend on evaluation order.
+``unitroot._battery_batch``.  Both work row by row, so no bit of a report
+depends on how the replicates are split into chunks.  Replication ``r``
+draws its multipliers from a seed derived only from the base seed and
+``r``, so results never depend on evaluation order either.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .unitroot import (
     STAT_TAILS,
     UnitRootStats,
     _battery_batch,
+    _battery_by_length,
     _chunk_rows,
     _values,
     unit_root_battery,
@@ -40,6 +42,7 @@ __all__ = [
     "fit_sieve",
     "rademacher",
     "unit_root_report",
+    "unit_root_reports",
 ]
 
 DEFAULT_B = 999
@@ -108,11 +111,21 @@ def _seed_tuple(seed) -> tuple[int, ...]:
 
 
 def rademacher(seed, n: int) -> np.ndarray:
-    """Deterministic vector of equiprobable +-1 multipliers."""
+    """Deterministic vector of equiprobable +-1 multipliers.
+
+    The signs are the top bits of the 32-bit halves, low half first, of
+    ``PCG64(SeedSequence(seed)).random_raw((n + 1) // 2)``: +1 where the bit
+    is set.  That is bit for bit ``default_rng(SeedSequence(seed)).integers(0,
+    2, size=n) * 2.0 - 1.0``, since Lemire's method never rejects at range 2
+    and returns the top bit of each 32-bit draw, but it rests only on the
+    PCG64 and SeedSequence streams, which NEP 19 keeps stable.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(_seed_tuple(seed)))
-    return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    words = np.random.PCG64(np.random.SeedSequence(_seed_tuple(seed))).random_raw((n + 1) // 2)
+    # little-endian words viewed as 32-bit values put each low half first
+    halves = words.astype("<u8", copy=False).view("<u4")[:n]
+    return (halves >> 31) * 2.0 - 1.0
 
 
 def fit_sieve(dy, p: int) -> SieveModel:
@@ -182,7 +195,7 @@ def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
     modulus >= 1) loses accuracy in its early values.
 
     Rows are transformed independently, so a row's bits do not depend on the
-    other seeds in its chunk.
+    other seeds in its chunk, nor on the chunk's size.
     """
     eps = np.stack([rademacher(seed, len(model.residuals)) for seed in seeds]) * model.residuals
     if model.p == 0:
@@ -201,18 +214,10 @@ def _pvalue(stat: float, replicates: np.ndarray, tail: str, B: int) -> float:
     return (1.0 + extreme) / (B + 1.0)
 
 
-def unit_root_report(y, B: int = DEFAULT_B, seed=0) -> UnitRootReport:
-    """Battery plus bootstrap p-values in one pass over the data.
-
-    ``B=0`` gives the battery alone with empty p-values: no sieve is fitted,
-    nothing is drawn and ``seed`` is not used.
-    """
+def _report(y, stats: UnitRootStats, B: int, seed_parts: tuple[int, ...]) -> UnitRootReport:
+    """The report of series ``y`` whose battery is ``stats``: no bootstrap at ``B=0``."""
     if B == 0:
-        return UnitRootReport(unit_root_battery(y), BootstrapResult(p_values={}, B=0, seed=()))
-    if B < MIN_REPLICATIONS:
-        raise ValueError(f"B must be 0 or >= {MIN_REPLICATIONS}, got {B}")
-    seed_parts = _seed_tuple(seed)
-    stats = unit_root_battery(y)
+        return UnitRootReport(stats, BootstrapResult(p_values={}, B=0, seed=()))
     model = fit_sieve(np.diff(_values(y)), stats.lag)
     if len(model.residuals) < MIN_BATTERY_LENGTH:
         raise DataError(
@@ -235,3 +240,37 @@ def unit_root_report(y, B: int = DEFAULT_B, seed=0) -> UnitRootReport:
         p_values[name] = _pvalue(observed[name], reps, tail, B)
     result = BootstrapResult(p_values=p_values, B=B, seed=seed_parts)
     return UnitRootReport(stats=stats, result=result)
+
+
+def _check_replications(B: int) -> None:
+    if B != 0 and B < MIN_REPLICATIONS:
+        raise ValueError(f"B must be 0 or >= {MIN_REPLICATIONS}, got {B}")
+
+
+def unit_root_report(y, B: int = DEFAULT_B, seed=0) -> UnitRootReport:
+    """Battery plus bootstrap p-values in one pass over the data.
+
+    ``B=0`` gives the battery alone with empty p-values: no sieve is fitted,
+    nothing is drawn and ``seed`` is not used.
+    """
+    _check_replications(B)
+    seed_parts = _seed_tuple(seed) if B else ()
+    return _report(y, unit_root_battery(y), B, seed_parts)
+
+
+def unit_root_reports(ys, B: int = DEFAULT_B, seed=0) -> list[UnitRootReport]:
+    """``unit_root_report(ys[i], B, seed)`` for every series ``i``, with ``i``
+    appended to the seed: ``(seed, i)`` for an int ``seed``.
+
+    The observed batteries run stacked, one kernel call per chunk of series
+    of one length, and give each series the bits it gets alone.  When one
+    fails, the series are run again one at a time, in order, so the error
+    raised is the one the first failing series raises.
+    """
+    _check_replications(B)
+    seeds = [_seed_tuple(seed) + (i,) if B else () for i in range(len(ys))]
+    try:
+        batteries = _battery_by_length(ys)
+    except (DataError, NumericalError):
+        return [unit_root_report(y, B, s) for y, s in zip(ys, seeds)]
+    return [_report(y, stats, B, s) for y, stats, s in zip(ys, batteries, seeds)]

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bootstrap import DEFAULT_B, MIN_REPLICATIONS, unit_root_report
+from .bootstrap import DEFAULT_B, MIN_REPLICATIONS, unit_root_reports
 from .errors import DataError, NumericalError
 from .ingest import ingest_counts, ingest_factors, ingest_prices, ingest_rates
 from .regression import DEFAULT_QS, FACTOR_MODELS, factor_report, predictive_report
@@ -178,16 +178,14 @@ def _select_countries(counts: dict[str, Series], wanted: list[str]) -> list[str]
 
 def cmd_unitroot(args: argparse.Namespace) -> None:
     counts = ingest_counts(args.counts)
-    jobs = []
+    labels, series = [], []
     for name in _select_countries(counts, args.country):
         window = positive_window(counts[name])
         for order, label in ((1, "d1"), (2, "d2")):
-            jobs.append((f"{name} {label}", difference(window, order)))
+            labels.append(f"{name} {label}")
+            series.append(difference(window, order))
 
-    entries = [
-        (label, unit_root_report(series, B=args.B, seed=(args.seed, idx)))
-        for idx, (label, series) in enumerate(jobs)
-    ]
+    entries = list(zip(labels, unit_root_reports(series, B=args.B, seed=args.seed)))
     table = unitroot_table(entries, title=f"Unit root battery ({args.target})")
     _emit(args, render_table(table, args.format), {"counts": args.counts})
 

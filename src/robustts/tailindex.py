@@ -73,22 +73,26 @@ class TailCurve:
             raise ValueError(f"largest k {ks[-1]} exceeds n-1 = {self.n - 1}")
 
 
-def _positive_values(sample) -> np.ndarray:
-    vals = np.asarray(sample, dtype=float)
+def _sorted_positive(sample) -> np.ndarray:
+    """The sample sorted ascending, checked to hold only positive finite values."""
+    vals = np.sort(np.asarray(sample, dtype=float))
     if len(vals) == 0:
         raise ValueError("empty sample")
-    if np.any(vals <= 0):
+    # the two ends decide, in constant time: NaN sorts last
+    if vals[0] <= 0:
         raise ValueError("tail estimation needs strictly positive values")
+    if not vals[-1] < np.inf:
+        raise ValueError("tail estimation needs finite values, got NaN or inf")
     return vals
 
 
 def _top_descending(sample, k: int, extra: int) -> np.ndarray:
     """The k + extra largest values, largest first, for k in [2, n - extra]."""
-    vals = _positive_values(sample)
+    vals = _sorted_positive(sample)
     hi = len(vals) - extra
     if not 2 <= k <= hi:
         raise ValueError(f"k must be in [2, {hi}], got {k}")
-    return np.sort(vals)[::-1][: k + extra]
+    return vals[::-1][: k + extra]
 
 
 def hill_estimate(sample, k: int) -> TailFit:
@@ -147,7 +151,7 @@ def tail_curve(sample, method: str, grid) -> TailCurve:
 
     A k outside [2, n-1] gets the whole sample, so the estimator rejects it against n.
     """
-    vals = np.sort(_positive_values(sample))
+    vals = _sorted_positive(sample)
     estimator = {"hill": hill_estimate, "rank_size": rank_size_estimate}.get(method)
     if estimator is None:
         raise ValueError(f"method must be 'hill' or 'rank_size', got {method!r}")

@@ -10,9 +10,10 @@ shared lag.
 
 :func:`_battery_batch` evaluates the battery on a stack of series with
 batched Gram matrices and stacked solves; :func:`unit_root_battery` is its
-one-row case, and the bootstrap feeds it the replicates in chunks.  The
-scalar formula references it is tested against live in
-``tests/reference_unitroot.py``.
+one-row case, the bootstrap feeds it the replicates in chunks and
+:func:`_battery_by_length` the observed series, stacked by length.  A row's
+bits do not depend on the rows sharing its call.  The scalar formula
+references it is tested against live in ``tests/reference_unitroot.py``.
 
 No critical values are shipped: decisions are meant to come from the
 bootstrap p-values in :mod:`robustts.bootstrap`.
@@ -41,7 +42,7 @@ DEFAULT_C_BAR = -7.0
 LR_C_GRID = np.arange(0.0, 50.5, 0.5)
 MIN_BATTERY_LENGTH = 25
 # about the bytes of one chunk's MAIC design matrix, which bounds the
-# kernel's working memory; the split into chunks depends only on T
+# kernel's working memory; a row's bits do not depend on the chunking
 CHUNK_BYTES = 2_000_000
 
 
@@ -128,6 +129,42 @@ def _gram(Z: np.ndarray) -> np.ndarray:
     return Z @ Z.transpose(0, 2, 1)
 
 
+def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> np.ndarray:
+    """MAIC of lags 0..k_max for every row, a C x (k_max+1) array.
+
+    The lag-k fit solves the leading (k+1) x (k+1) block of the Gram matrix
+    ``G`` of (level, lagged differences) against their cross-products ``g``
+    with the response, whose sum of squares is ``rr``.  With one Cholesky
+    factor ``G = L L'`` and ``w = L^-1 g``, every lag's fit is a prefix sum:
+    ``SSR_k = rr - sum_{i<=k} w_i^2`` and the level coefficient is
+    ``sum_{i<=k} (L^-1 e_0)_i w_i``.  Should the factor fail or an SSR come
+    out non-positive, the lags are fitted one solve at a time instead, which
+    raises the scalar reference's message with its lag.
+    """
+    N = T - 1 - k_max
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is not None:
+        e0 = np.zeros_like(g)
+        e0[:, 0] = 1.0
+        w = np.linalg.solve(L, np.stack((g, e0), axis=2))
+        ssr = rr[:, None] - np.cumsum(w[:, :, 0] ** 2, axis=1)
+        b0 = np.cumsum(w[:, :, 0] * w[:, :, 1], axis=1)
+    if L is None or not np.all(ssr > 0):
+        ssr, b0 = np.empty_like(g), np.empty_like(g)
+        for k in range(k_max + 1):
+            b = _solve_normal(G[:, : k + 1, : k + 1], g[:, : k + 1, None])[:, :, 0]
+            ssr[:, k] = rr - _rowdot(b, g[:, : k + 1])
+            if not np.all(ssr[:, k] > 0):
+                raise NumericalError(f"degenerate ADF regression at lag {k}")
+            b0[:, k] = b[:, 0]
+    s2 = ssr / N
+    tau = b0**2 * G[:, :1, 0] / s2
+    return np.log(s2) + 2.0 * (tau + np.arange(k_max + 1)) / (T - k_max)
+
+
 def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     """The battery on every row of a C x T matrix of series.
 
@@ -136,9 +173,11 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     are those of ``select_lag_maic``, ``gls_demean``, ``_adf_fit``,
     ``mz_msb_mzt``, ``mp_test`` and ``lr_test`` in
     ``tests/reference_unitroot.py``, evaluated with batched Gram matrices and
-    stacked solves, so a row agrees with them to rounding.  Their
-    ``NumericalError`` checks and those of :class:`UnitRootStats` are kept:
-    one failing on any row raises the same message.
+    stacked solves, so a row agrees with them to rounding.  Every step works
+    row by row (no matrix-vector product spans rows), so a row's bits do not
+    depend on the other rows.  Their ``NumericalError`` checks and those of
+    :class:`UnitRootStats` are kept: one failing on any row raises the same
+    message.
     """
     C, T = Y.shape
     if T < MIN_BATTERY_LENGTH:
@@ -149,19 +188,8 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     # MAIC on the OLS-demeaned data over the common sample t > k_max+1: the
     # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix
     m = k_max + 1
-    N = T - 1 - k_max
     A = _gram(_lag_design(U, k_max)[:, :, k_max:])
-    G, g, rr = A[:, :m, :m], A[:, :m, m], A[:, m, m]
-    maic = np.empty((C, m))
-    for k in range(m):
-        b = _solve_normal(G[:, : k + 1, : k + 1], g[:, : k + 1, None])[:, :, 0]
-        ssr = rr - _rowdot(b, g[:, : k + 1])
-        if not np.all(ssr > 0):
-            raise NumericalError(f"degenerate ADF regression at lag {k}")
-        s2 = ssr / N
-        tau = b[:, 0] ** 2 * G[:, 0, 0] / s2
-        maic[:, k] = np.log(s2) + 2.0 * (tau + k) / (T - k_max)
-    lag = np.argmin(maic, axis=1)
+    lag = np.argmin(_maic(A[:, :m, :m], A[:, :m, m], A[:, m, m], T, k_max), axis=1)
 
     # GLS demeaning, then one stacked ADF fit with every row at its own lag:
     # a row's observations before its sample are zeroed, and so are its lag
@@ -174,7 +202,7 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     ya[:, 1:] = Y[:, 1:] - rho * Y[:, :-1]
     za = np.full(T, 1.0 - rho)
     za[0] = 1.0
-    V = Y - (ya @ za / float(za @ za))[:, None]
+    V = Y - (_rowdot(ya, za[None, :]) / float(za @ za))[:, None]
     Z = _lag_design(V, k_max)
     before = np.arange(k_max) < lag[:, None]
     Z[:, :, :k_max] *= ~before[:, None, :]
@@ -230,6 +258,19 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
+def _row_stats(out: dict[str, np.ndarray], i: int) -> UnitRootStats:
+    """Row ``i`` of a :func:`_battery_batch` result."""
+    return UnitRootStats(
+        lr=float(out["LR"][i]),
+        mz_alpha=float(out["MZa"][i]),
+        msb=float(out["MSB"][i]),
+        mp_t=float(out["MPt"][i]),
+        adf=float(out["ADF"][i]),
+        lag=int(out["lag"][i]),
+        s2_ar=float(out["s2_ar"][i]),
+    )
+
+
 def unit_root_battery(y) -> UnitRootStats:
     """Run the full battery on one series.
 
@@ -239,13 +280,27 @@ def unit_root_battery(y) -> UnitRootStats:
     uses the series directly (it demeans internally).  This is the one-row
     case of :func:`_battery_batch`.
     """
-    row = {name: col[0] for name, col in _battery_batch(_values(y)[None, :]).items()}
-    return UnitRootStats(
-        lr=float(row["LR"]),
-        mz_alpha=float(row["MZa"]),
-        msb=float(row["MSB"]),
-        mp_t=float(row["MPt"]),
-        adf=float(row["ADF"]),
-        lag=int(row["lag"]),
-        s2_ar=float(row["s2_ar"]),
-    )
+    return _row_stats(_battery_batch(_values(y)[None, :]), 0)
+
+
+def _battery_by_length(ys) -> list[UnitRootStats]:
+    """:func:`unit_root_battery` of every series, with one kernel call per
+    chunk of ``_chunk_rows(T)`` series of each length T.
+
+    A row's bits do not depend on the rows sharing its call, so each series
+    gets the statistics it gets alone.  Should any series fail, the error
+    raised is the one of whichever chunk fails first, not necessarily that
+    of the first failing series.
+    """
+    values = [_values(y) for y in ys]
+    stats: list[UnitRootStats | None] = [None] * len(values)
+    for T in dict.fromkeys(map(len, values)):
+        rows = [i for i, v in enumerate(values) if len(v) == T]
+        # series shorter than the battery's minimum fail in the kernel
+        size = _chunk_rows(max(T, MIN_BATTERY_LENGTH))
+        for lo in range(0, len(rows), size):
+            chunk = rows[lo : lo + size]
+            out = _battery_batch(np.stack([values[i] for i in chunk]))
+            for j, i in enumerate(chunk):
+                stats[i] = _row_stats(out, j)
+    return stats

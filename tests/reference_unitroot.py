@@ -180,3 +180,23 @@ def lr_test(y) -> float:
     # the null itself joins the profile so LR >= 0 on any grid
     best = min(float(sig2.min()), sig2_null)
     return float((T - 1) * (math.log(sig2_null) - math.log(best)))
+
+
+def maic_per_lag(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> np.ndarray:
+    """MAIC of lags 0..k_max on a stack of Gram blocks, one solve per lag.
+
+    The arguments are those of :func:`robustts.unitroot._maic`, which takes
+    every lag from one Cholesky factor instead; this loop is its fallback, so
+    the two must agree bit for bit when the factor fails.
+    """
+    N = T - 1 - k_max
+    maic = np.empty_like(g)
+    for k in range(k_max + 1):
+        b = _solve_normal(G[:, : k + 1, : k + 1], g[:, : k + 1, None])[:, :, 0]
+        ssr = rr - np.sum(b * g[:, : k + 1], axis=1)
+        if not np.all(ssr > 0):
+            raise NumericalError(f"degenerate ADF regression at lag {k}")
+        s2 = ssr / N
+        tau = b[:, 0] ** 2 * G[:, 0, 0] / s2
+        maic[:, k] = np.log(s2) + 2.0 * (tau + k) / (T - k_max)
+    return maic

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import robustts.bootstrap as bt
+import robustts.unitroot as unitroot
 from robustts.bootstrap import (
     BootstrapResult,
     SieveModel,
     fit_sieve,
     rademacher,
     unit_root_report,
+    unit_root_reports,
 )
-from robustts.errors import DataError
+from robustts.errors import DataError, NumericalError
 from robustts.ingest import ingest_counts
 from robustts.series import difference, positive_window
 from robustts.unitroot import _values, unit_root_battery
@@ -77,6 +79,16 @@ class TestRademacher:
     def test_tuple_seed(self):
         assert np.array_equal(rademacher((1, 2), 16), rademacher((1, 2), 16))
         assert not np.array_equal(rademacher((1, 2), 16), rademacher((1, 3), 16))
+
+    @pytest.mark.parametrize("n", [1, 2, 149, 150, 999])
+    @pytest.mark.parametrize("seed", [0, 7, (42, 3, 998), (2**32, 5), (1, 2**32 + 1, 2**63), 2**64 + 3])
+    def test_raw_bits_are_generator_integers(self, seed, n):
+        # the definition from raw PCG64 words must stay what Generator.integers draws
+        parts = seed if isinstance(seed, tuple) else (seed,)
+        rng = np.random.default_rng(np.random.SeedSequence(parts))
+        expected = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        got = rademacher(seed, n)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
 class TestResampleNull:
@@ -278,3 +290,64 @@ class TestBootstrapPvalues:
     def test_result_range_enforced_by_type(self):
         with pytest.raises(ValueError):
             BootstrapResult(p_values={"ADF": 0.0}, B=99, seed=(0,))
+
+
+def replicate_stats(monkeypatch, y, B, seed):
+    """The p-values of a report and every replicate statistic it ranked."""
+    outs, real = [], bt._battery_batch
+    monkeypatch.setattr(bt, "_battery_batch", lambda Y: outs.append(real(Y)) or outs[-1])
+    rep = unit_root_report(y, B=B, seed=seed)
+    monkeypatch.setattr(bt, "_battery_batch", real)
+    return rep.p_values, {name: np.concatenate([o[name] for o in outs]).tobytes() for name in outs[0]}
+
+
+class TestChunking:
+    @pytest.mark.parametrize("T", [60, 150, 400])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, T):
+        y = np.cumsum(np.random.default_rng(T).standard_t(3, T))
+        base = replicate_stats(monkeypatch, y, 199, (4, T))
+        for size in (250_000, 8_000_000):
+            monkeypatch.setattr(unitroot, "CHUNK_BYTES", size)
+            assert replicate_stats(monkeypatch, y, 199, (4, T)) == base, size
+
+
+def walks(lengths, seed=8):
+    rng = np.random.default_rng(seed)
+    return [np.cumsum(rng.standard_normal(T)) for T in lengths]
+
+
+class TestReports:
+    # 25 series of length 1000 span three kernel chunks
+    LENGTHS = [150, 60, 150, 1000, 60] + [1000] * 24
+
+    def test_b_zero_equals_one_series_at_a_time(self):
+        ys = walks(self.LENGTHS)
+        reports = unit_root_reports(ys, B=0, seed=None)
+        assert reports == [unit_root_report(y, B=0, seed=None) for y in ys]
+
+    def test_bootstrap_equals_one_series_at_a_time(self):
+        ys = walks([150, 60, 150, 60])
+        reports = unit_root_reports(ys, B=99, seed=(3,))
+        assert reports == [unit_root_report(y, B=99, seed=(3, i)) for i, y in enumerate(ys)]
+        assert unit_root_reports(ys, B=99, seed=3) == reports
+
+    @pytest.mark.parametrize("B", [0, 99])
+    def test_error_is_the_first_failing_series(self, B):
+        # one at a time, series 1 (a lag-0 exact fit) fails first; stacked by
+        # length, series 3 (constant) shares the first kernel call
+        ys = walks([150, 80, 150, 150])
+        ys[1] = np.arange(80) % 2.0
+        ys[3] = np.full(150, 2.5)
+        with pytest.raises(NumericalError, match="^degenerate ADF regression at lag 0$"):
+            unit_root_report(ys[1], B=B, seed=(0, 1))
+        with pytest.raises(NumericalError, match="^degenerate ADF regression at lag 0$"):
+            unit_root_reports(ys, B=B, seed=0)
+
+    def test_short_series_is_a_data_error(self):
+        ys = walks([150, 24, 150])
+        with pytest.raises(DataError, match="^battery needs at least 25 observations, got 24$"):
+            unit_root_reports(ys, B=0, seed=None)
+
+    def test_b_minimum(self):
+        with pytest.raises(ValueError, match=">= 99"):
+            unit_root_reports(walks([60]), B=98, seed=0)

@@ -4,6 +4,7 @@ import sys
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robustts import cli
@@ -34,15 +35,21 @@ def prices_with_tiny_adj_close(data_dir, prices, adj_close):
     return prices
 
 
-def write_degenerate_counts(path, values):
-    """A counts file holding one country's cumulative counts, daily from 2020-01-22."""
+def write_counts(path, countries):
+    """A counts file with one row of cumulative counts per country, daily from 2020-01-22."""
     start = date(2020, 1, 22)
-    dates = [start + timedelta(days=i) for i in range(len(values))]
+    days = len(next(iter(countries.values())))
+    dates = [start + timedelta(days=i) for i in range(days)]
     header = "Province/State,Country/Region,Lat,Long," + ",".join(
         f"{d.month}/{d.day}/{d.strftime('%y')}" for d in dates
     )
-    row = ",Flatland,0,0," + ",".join(str(v) for v in values)
-    path.write_text(header + "\n" + row + "\n", encoding="utf-8")
+    rows = [f",{name},0,0," + ",".join(str(v) for v in values) for name, values in countries.items()]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
+def write_degenerate_counts(path, values):
+    """A counts file holding one country's cumulative counts, daily from 2020-01-22."""
+    write_counts(path, {"Flatland": values})
 
 
 class TestExitCodes:
@@ -129,6 +136,25 @@ class TestExitCodes:
         code = run(["unitroot", "--counts", counts, "--B", "99", "--seed", "1"])
         assert code == 4
         assert capsys.readouterr().err == "numerical failure: degenerate ADF regression at lag 0\n"
+
+    @pytest.mark.parametrize("B", ["0", "99"])
+    def test_first_failing_series_in_file_order_names_the_error(self, tmp_path, capsys, B):
+        # Boreal d1 (58 values, a lag-0 exact fit) fails first in table order;
+        # Cascadia d1 (59 constant values, a singular lag search) has the
+        # length of Arcadia d1, the first series, so a stacked run reaches it first
+        counts = tmp_path / "mixed.csv"
+        walk = [int(v) for v in np.cumsum(np.random.default_rng(6).integers(50, 150, 60))]
+        write_counts(counts, {
+            "Arcadia": walk,
+            "Boreal": [(i + 1) // 2 for i in range(60)],
+            "Cascadia": [i + 1 for i in range(60)],
+        })
+        code = run(["unitroot", "--counts", counts, "--B", B, "--seed", "1"])
+        assert code == 4
+        assert capsys.readouterr().err == "numerical failure: degenerate ADF regression at lag 0\n"
+        write_counts(counts, {"Arcadia": walk, "Cascadia": [i + 1 for i in range(60)]})
+        assert run(["unitroot", "--counts", counts, "--B", B, "--seed", "1"]) == 4
+        assert capsys.readouterr().err == "numerical failure: singular ADF regression\n"
 
     def test_short_battery_series_is_3(self, tmp_path, capsys):
         # a 24-day positive window leaves 23 first differences

@@ -62,7 +62,7 @@ PUBLIC = {
     "unitroot": ["STAT_TAILS", "UnitRootStats", "default_k_max", "unit_root_battery"],
     "bootstrap": [
         "SieveModel", "BootstrapResult", "UnitRootReport", "fit_sieve", "rademacher",
-        "unit_root_report",
+        "unit_root_report", "unit_root_reports",
     ],
     "tailindex": ["TailFit", "TailCurve", "hill_estimate", "rank_size_estimate", "k_grid", "tail_curve"],
     "regression": [

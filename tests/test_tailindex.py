@@ -201,3 +201,31 @@ class TestTailCurve:
         fits = (hill_estimate(x, 20), hill_estimate(x, 10))
         with pytest.raises(ValueError, match="strictly increasing"):
             TailCurve(points=fits, n=100)
+
+
+ESTIMATES = {
+    "hill_estimate": lambda x: hill_estimate(x, 10),
+    "rank_size_estimate": lambda x: rank_size_estimate(x, 10),
+    "tail_curve hill": lambda x: tail_curve(x, "hill", (10, 20)),
+    "tail_curve rank_size": lambda x: tail_curve(x, "rank_size", (10, 20)),
+}
+
+
+class TestBadValues:
+    # a library sample holding NaN or inf is bad input, not a numerical failure
+    @pytest.mark.parametrize("call", ESTIMATES.values(), ids=ESTIMATES.keys())
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [0, 50, 99])
+    def test_non_finite_is_a_value_error(self, call, bad, where):
+        x = np.linspace(1.0, 50.0, 100)
+        x[where] = bad
+        with pytest.raises(ValueError, match="^tail estimation needs finite values, got NaN or inf$"):
+            call(x)
+
+    @pytest.mark.parametrize("call", ESTIMATES.values(), ids=ESTIMATES.keys())
+    @pytest.mark.parametrize("bad", [0.0, -2.0, -math.inf])
+    def test_non_positive_keeps_its_message(self, call, bad):
+        x = np.linspace(1.0, 50.0, 100)
+        x[[3, 60]] = (bad, math.nan)
+        with pytest.raises(ValueError, match="^tail estimation needs strictly positive values$"):
+            call(x)

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import robustts.unitroot as unitroot
 from robustts.errors import NumericalError
 from robustts.unitroot import UnitRootStats, _battery_batch, default_k_max, unit_root_battery
 
@@ -11,6 +12,7 @@ from reference_unitroot import (
     adf_gls,
     gls_demean,
     lr_test,
+    maic_per_lag,
     mp_test,
     mz_msb_mzt,
     select_lag_maic,
@@ -304,3 +306,74 @@ class TestBatteryKernel:
             _battery_batch(Y)
         with pytest.raises(NumericalError, match=f"^{message}$"):
             unit_root_battery(bad)
+
+
+def bits(out):
+    """A kernel result's arrays as raw bytes, for bit-for-bit comparison."""
+    return {name: np.ascontiguousarray(col).tobytes() for name, col in out.items()}
+
+
+def concat(outs):
+    return {name: np.concatenate([o[name] for o in outs]) for name in outs[0]}
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("T", [30, 60, 150, 999])
+    def test_random_chunks_match_rows_alone(self, T):
+        Y = dgp_stack(T, per_dgp=8)
+        alone = concat([_battery_batch(Y[i : i + 1]) for i in range(len(Y))])
+        rng = np.random.default_rng(T)
+        for _ in range(3):
+            cuts = np.sort(rng.choice(np.arange(1, len(Y)), size=rng.integers(1, 8), replace=False))
+            chunks = concat([_battery_batch(part) for part in np.split(Y, cuts)])
+            assert bits(chunks) == bits(alone), (T, cuts)
+
+
+def maic_arguments(monkeypatch, Y):
+    """The arguments the kernel passes to ``_maic`` on ``Y``."""
+    seen, real = [], unitroot._maic
+    monkeypatch.setattr(unitroot, "_maic", lambda *args: seen.append(args) or real(*args))
+    _battery_batch(Y)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def cholesky_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+class TestMaicFactor:
+    @pytest.mark.parametrize("T", [25, 150, 1000])
+    def test_matches_per_lag_loop(self, monkeypatch, T):
+        args = maic_arguments(monkeypatch, dgp_stack(T))
+        factor, loop = unitroot._maic(*args), maic_per_lag(*args)
+        assert np.array_equal(np.argmin(factor, axis=1), np.argmin(loop, axis=1))
+        # MAIC crosses zero, so relative to max(|value|, 1) as TOL
+        assert np.all(np.abs(factor - loop) <= 1e-12 * np.maximum(np.abs(loop), 1.0))
+
+    @pytest.mark.parametrize("T", [25, 150, 1000])
+    def test_failed_factor_gives_the_loop_bit_for_bit(self, monkeypatch, T):
+        Y = dgp_stack(T, per_dgp=8)
+        monkeypatch.setattr(unitroot, "_maic", maic_per_lag)
+        loop = _battery_batch(Y)
+        monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_fails)
+        assert bits(_battery_batch(Y)) == bits(loop)
+
+    @pytest.mark.parametrize("bad", [np.full(150, 3.5), np.arange(150) % 2.0])
+    def test_failed_factor_keeps_the_scalar_message(self, monkeypatch, rng, bad):
+        with pytest.raises(NumericalError) as scalar:
+            reference_battery(bad)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_fails)
+        Y = np.vstack([random_walk(rng, 150), bad])
+        with pytest.raises(NumericalError, match=f"^{re.escape(str(scalar.value))}$"):
+            _battery_batch(Y)
+
+    @pytest.mark.parametrize("maic", [unitroot._maic, maic_per_lag], ids=["factor", "loop"])
+    def test_non_positive_ssr_names_its_lag(self, maic):
+        # G = I factors fine; the second row's lag-1 SSR is 1.5 - 1 - 1 < 0
+        G = np.stack([np.eye(3), np.eye(3)])
+        g = np.array([[0.1, 0.1, 0.1], [1.0, 1.0, 1.0]])
+        rr = np.array([1.5, 1.5])
+        with pytest.raises(NumericalError, match="^degenerate ADF regression at lag 1$"):
+            maic(G, g, rr, 100, 2)
