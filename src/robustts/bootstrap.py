@@ -8,11 +8,12 @@ The battery (including lag re-selection) is recomputed on each replicate and
 p-values are rank based: ``p = (1 + #at-least-as-extreme) / (B + 1)``.
 
 Replicates are resampled in chunks by ``_resample_chunk``, the one
-resampler, and evaluated by the batched battery kernel
-``unitroot._battery_batch``.  Both work row by row, so no bit of a report
-depends on how the replicates are split into chunks.  Replication ``r``
-draws its multipliers from a seed derived only from the base seed and
-``r``, so results never depend on evaluation order either.
+resampler, inside ``unitroot._battery_rows``, the one chunk loop over the
+battery kernel, which serves the observed series too.  Both work row by
+row, so no bit of a report depends on how the replicates are split into
+chunks.  Replication ``r`` draws its multipliers from a seed derived only
+from the base seed and ``r``, so results never depend on evaluation order
+either.
 """
 
 from __future__ import annotations
@@ -24,16 +25,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .series import _readonly
-from .unitroot import (
-    MIN_BATTERY_LENGTH,
-    STAT_TAILS,
-    UnitRootStats,
-    _battery_batch,
-    _battery_by_length,
-    _chunk_rows,
-    _values,
-    unit_root_battery,
-)
+from .unitroot import MIN_BATTERY_LENGTH, STAT_TAILS, UnitRootStats
+from .unitroot import _battery_by_length, _battery_rows, _values
 
 __all__ = [
     "SieveModel",
@@ -219,32 +212,32 @@ def _report(y, stats: UnitRootStats, B: int, seed_parts: tuple[int, ...]) -> Uni
     if B == 0:
         return UnitRootReport(stats, BootstrapResult(p_values={}, B=0, seed=()))
     model = fit_sieve(np.diff(_values(y)), stats.lag)
-    if len(model.residuals) < MIN_BATTERY_LENGTH:
-        raise DataError(
-            f"bootstrap series would have {len(model.residuals)} observations; "
-            f"need at least {MIN_BATTERY_LENGTH}"
-        )
-
-    rows = _chunk_rows(len(model.residuals))
-    chunks = [
-        _battery_batch(
-            _resample_chunk(model, [seed_parts + (r,) for r in range(lo, min(lo + rows, B + 1))])
-        )
-        for lo in range(1, B + 1, rows)
-    ]
-
+    n = len(model.residuals)
+    if n < MIN_BATTERY_LENGTH:
+        raise DataError(f"bootstrap series would have {n} observations; need at least {MIN_BATTERY_LENGTH}")
+    reps = _battery_rows(
+        B, n, lambda lo, hi: _resample_chunk(model, [seed_parts + (r,) for r in range(lo + 1, hi + 1)])
+    )
     observed = stats.as_dict()
-    p_values = {}
-    for name, tail in STAT_TAILS.items():
-        reps = np.concatenate([chunk[name] for chunk in chunks])
-        p_values[name] = _pvalue(observed[name], reps, tail, B)
-    result = BootstrapResult(p_values=p_values, B=B, seed=seed_parts)
-    return UnitRootReport(stats=stats, result=result)
+    p_values = {name: _pvalue(observed[name], reps[name], tail, B) for name, tail in STAT_TAILS.items()}
+    return UnitRootReport(stats, BootstrapResult(p_values=p_values, B=B, seed=seed_parts))
 
 
-def _check_replications(B: int) -> None:
+def _reports(ys, B: int, seeds) -> list[UnitRootReport]:
+    """The report of each ``ys[i]`` with seed ``seeds[i]``; the seeds are read
+    after ``B`` is checked, and only when ``B > 0``.  Should the stacked
+    observed batteries fail, the series run again one at a time, in order,
+    so the first failing series raises its own error."""
     if B != 0 and B < MIN_REPLICATIONS:
         raise ValueError(f"B must be 0 or >= {MIN_REPLICATIONS}, got {B}")
+    seeds = [_seed_tuple(s) for s in seeds] if B else [()] * len(ys)
+    try:
+        batteries = _battery_by_length(ys)
+    except (DataError, NumericalError):
+        if len(ys) == 1:
+            raise
+        return [_reports([y], B, [s])[0] for y, s in zip(ys, seeds)]
+    return [_report(y, stats, B, s) for y, stats, s in zip(ys, batteries, seeds)]
 
 
 def unit_root_report(y, B: int = DEFAULT_B, seed=0) -> UnitRootReport:
@@ -253,24 +246,14 @@ def unit_root_report(y, B: int = DEFAULT_B, seed=0) -> UnitRootReport:
     ``B=0`` gives the battery alone with empty p-values: no sieve is fitted,
     nothing is drawn and ``seed`` is not used.
     """
-    _check_replications(B)
-    seed_parts = _seed_tuple(seed) if B else ()
-    return _report(y, unit_root_battery(y), B, seed_parts)
+    return _reports([y], B, [seed])[0]
 
 
 def unit_root_reports(ys, B: int = DEFAULT_B, seed=0) -> list[UnitRootReport]:
     """``unit_root_report(ys[i], B, seed)`` for every series ``i``, with ``i``
-    appended to the seed: ``(seed, i)`` for an int ``seed``.
-
-    The observed batteries run stacked, one kernel call per chunk of series
-    of one length, and give each series the bits it gets alone.  When one
-    fails, the series are run again one at a time, in order, so the error
-    raised is the one the first failing series raises.
+    appended to the seed: ``(seed, i)`` for an int ``seed``.  The observed
+    batteries run stacked by length and give each series the bits it gets
+    alone; should one fail, the first failing series raises its own error.
     """
-    _check_replications(B)
-    seeds = [_seed_tuple(seed) + (i,) if B else () for i in range(len(ys))]
-    try:
-        batteries = _battery_by_length(ys)
-    except (DataError, NumericalError):
-        return [unit_root_report(y, B, s) for y, s in zip(ys, seeds)]
-    return [_report(y, stats, B, s) for y, stats, s in zip(ys, batteries, seeds)]
+    # a generator, so the seed is not read before B is checked, nor at B=0
+    return _reports(ys, B, (_seed_tuple(seed) + (i,) for i in range(len(ys))))

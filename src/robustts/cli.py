@@ -114,8 +114,11 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error("--seed is required when B > 0")
     if seed is not None and seed < 0:
         parser.error("--seed must be non-negative")
-    if any(q < 2 for q in getattr(args, "q", ())):
+    qs = getattr(args, "q", ())
+    if any(q < 2 for q in qs):
         parser.error("q values must be >= 2")
+    if len(set(qs)) < len(qs):
+        parser.error("q values must not repeat")
     if B < 0 or 0 < B < MIN_REPLICATIONS:
         parser.error(f"--B must be 0 (statistics only) or >= {MIN_REPLICATIONS}")
     if args.command == "tailindex":
@@ -192,20 +195,23 @@ def cmd_unitroot(args: argparse.Namespace) -> None:
 
 def cmd_tailindex(args: argparse.Namespace) -> None:
     counts = ingest_counts(args.counts)
-    jobs = []
+    owners, jobs = {}, []
     for name in _select_countries(counts, args.country):
+        safe = name.replace(" ", "_").replace("/", "-")
+        if safe in owners:
+            raise DataError(f"countries {owners[safe]!r} and {name!r} would share the curve files {safe}_*")
+        owners[safe] = name
         sample = positive_part(difference(positive_window(counts[name]), 2))
         grid = k_grid(len(sample), args.grid_lo, args.grid_hi, args.grid_steps)
         for method in ("hill", "rank_size"):
-            jobs.append((name, method, sample, grid))
+            jobs.append((safe, method, sample, grid))
 
     curves = [
-        (name, method, emit_tail_curve(tail_curve(sample, method, grid)))
-        for name, method, sample, grid in jobs
+        (safe, method, emit_tail_curve(tail_curve(sample, method, grid)))
+        for safe, method, sample, grid in jobs
     ]
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, method, payload in curves:
-        safe = name.replace(" ", "_").replace("/", "-")
+    for safe, method, payload in curves:
         (args.out / f"{safe}_{args.target}_{method}.csv").write_bytes(payload)
     _write_manifest(args.out / "run.manifest", args, {"counts": args.counts})
 

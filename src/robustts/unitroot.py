@@ -9,11 +9,11 @@ OLS-demeaned data; the statistics themselves use GLS-demeaned data with that
 shared lag.
 
 :func:`_battery_batch` evaluates the battery on a stack of series with
-batched Gram matrices and stacked solves; :func:`unit_root_battery` is its
-one-row case, the bootstrap feeds it the replicates in chunks and
-:func:`_battery_by_length` the observed series, stacked by length.  A row's
-bits do not depend on the rows sharing its call.  The scalar formula
-references it is tested against live in ``tests/reference_unitroot.py``.
+batched Gram matrices and stacked solves; :func:`_battery_rows`, its one
+loop, calls it per chunk of series, for the observed series stacked by
+length (:func:`_battery_by_length`) and the bootstrap's replicates alike.
+A row's bits do not depend on the rows sharing its call.  The scalar
+formula references it is tested against live in ``tests/reference_unitroot.py``.
 
 No critical values are shipped: decisions are meant to come from the
 bootstrap p-values in :mod:`robustts.bootstrap`.
@@ -91,11 +91,6 @@ def _solve_normal(G: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.linalg.solve(G, g)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular ADF regression") from exc
-
-
-def _chunk_rows(T: int) -> int:
-    """Series of length ``T`` per :func:`_battery_batch` call within ``CHUNK_BYTES``."""
-    return max(1, CHUNK_BYTES // (T * (default_k_max(T) + 2) * 8))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,34 +253,24 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def _row_stats(out: dict[str, np.ndarray], i: int) -> UnitRootStats:
-    """Row ``i`` of a :func:`_battery_batch` result."""
-    return UnitRootStats(
-        lr=float(out["LR"][i]),
-        mz_alpha=float(out["MZa"][i]),
-        msb=float(out["MSB"][i]),
-        mp_t=float(out["MPt"][i]),
-        adf=float(out["ADF"][i]),
-        lag=int(out["lag"][i]),
-        s2_ar=float(out["s2_ar"][i]),
-    )
+def _battery_rows(n: int, T: int, stack) -> dict[str, np.ndarray]:
+    """:func:`_battery_batch` of ``n`` series of length ``T``, where
+    ``stack(lo, hi)`` returns series ``lo..hi-1`` as rows.
 
-
-def unit_root_battery(y) -> UnitRootStats:
-    """Run the full battery on one series.
-
-    OLS-demeaned data drive the MAIC lag choice up to ``default_k_max(T)``;
-    GLS-demeaned data (constant case, ``DEFAULT_C_BAR``) feed the ADF, MZ,
-    MSB and MPt statistics, all at the shared selected lag; the LR profile
-    uses the series directly (it demeans internally).  This is the one-row
-    case of :func:`_battery_batch`.
+    The one loop over the kernel: one call per chunk of series within
+    ``CHUNK_BYTES``, each chunk stacked only when its turn comes, and each
+    key's chunks concatenated.  Series shorter than the battery's minimum
+    fail in the kernel.
     """
-    return _row_stats(_battery_batch(_values(y)[None, :]), 0)
+    T = max(T, MIN_BATTERY_LENGTH)
+    size = max(1, CHUNK_BYTES // (T * (default_k_max(T) + 2) * 8))
+    chunks = [_battery_batch(stack(lo, min(lo + size, n))) for lo in range(0, n, size)]
+    return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
 
 def _battery_by_length(ys) -> list[UnitRootStats]:
-    """:func:`unit_root_battery` of every series, with one kernel call per
-    chunk of ``_chunk_rows(T)`` series of each length T.
+    """:func:`unit_root_battery` of every series, with one
+    :func:`_battery_rows` per length.
 
     A row's bits do not depend on the rows sharing its call, so each series
     gets the statistics it gets alone.  Should any series fail, the error
@@ -296,11 +281,21 @@ def _battery_by_length(ys) -> list[UnitRootStats]:
     stats: list[UnitRootStats | None] = [None] * len(values)
     for T in dict.fromkeys(map(len, values)):
         rows = [i for i, v in enumerate(values) if len(v) == T]
-        # series shorter than the battery's minimum fail in the kernel
-        size = _chunk_rows(max(T, MIN_BATTERY_LENGTH))
-        for lo in range(0, len(rows), size):
-            chunk = rows[lo : lo + size]
-            out = _battery_batch(np.stack([values[i] for i in chunk]))
-            for j, i in enumerate(chunk):
-                stats[i] = _row_stats(out, j)
+        out = _battery_rows(len(rows), T, lambda lo, hi: np.stack([values[i] for i in rows[lo:hi]]))
+        # the UnitRootStats fields in order; MZt is derived from MZa and MSB
+        fields = (out[key].tolist() for key in ("LR", "MZa", "MSB", "MPt", "ADF", "lag", "s2_ar"))
+        for i, row in zip(rows, zip(*fields)):
+            stats[i] = UnitRootStats(*row)
     return stats
+
+
+def unit_root_battery(y) -> UnitRootStats:
+    """Run the full battery on one series.
+
+    OLS-demeaned data drive the MAIC lag choice up to ``default_k_max(T)``;
+    GLS-demeaned data (constant case, ``DEFAULT_C_BAR``) feed the ADF, MZ,
+    MSB and MPt statistics, all at the shared selected lag; the LR profile
+    uses the series directly (it demeans internally).  This is the one-series
+    case of :func:`_battery_by_length`.
+    """
+    return _battery_by_length([y])[0]

@@ -26,7 +26,7 @@ from robustts.regression import (
     qs_kernel,
 )
 from robustts.tailindex import hill_estimate, rank_size_estimate
-from robustts.unitroot import _battery_batch, _chunk_rows
+from robustts.unitroot import _battery_rows
 
 from conftest import plain_rank_size_zeta
 from reference_unitroot import mz_msb_mzt
@@ -91,10 +91,7 @@ def test_c04_dfgls_null_distribution():
     rng = np.random.default_rng(104)
     T = 200
     Y = np.cumsum(rng.standard_normal((10_000, T)), axis=1)  # one walk per row
-    rows = _chunk_rows(T)
-    stats = np.concatenate(
-        [_battery_batch(Y[i : i + rows])["ADF"] for i in range(0, len(Y), rows)]
-    )
+    stats = _battery_rows(len(Y), T, lambda lo, hi: Y[lo:hi])["ADF"]
     elapsed = time.perf_counter() - start
     q5 = float(np.percentile(stats, 5))
     ok = -2.10 <= q5 <= -1.80 and elapsed < 60

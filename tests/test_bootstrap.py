@@ -293,11 +293,12 @@ class TestBootstrapPvalues:
 
 
 def replicate_stats(monkeypatch, y, B, seed):
-    """The p-values of a report and every replicate statistic it ranked."""
-    outs, real = [], bt._battery_batch
-    monkeypatch.setattr(bt, "_battery_batch", lambda Y: outs.append(real(Y)) or outs[-1])
+    """The p-values of a report and every battery row it computed: the
+    observed series, then every replicate it ranked."""
+    outs, real = [], unitroot._battery_batch
+    monkeypatch.setattr(unitroot, "_battery_batch", lambda Y: outs.append(real(Y)) or outs[-1])
     rep = unit_root_report(y, B=B, seed=seed)
-    monkeypatch.setattr(bt, "_battery_batch", real)
+    monkeypatch.setattr(unitroot, "_battery_batch", real)
     return rep.p_values, {name: np.concatenate([o[name] for o in outs]).tobytes() for name in outs[0]}
 
 

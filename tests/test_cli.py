@@ -98,6 +98,23 @@ class TestExitCodes:
         assert "--grid-" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("qs, message", [
+        ("1,4", "q values must be >= 2"),
+        ("4,4", "q values must not repeat"),
+        ("4,8,4", "q values must not repeat"),
+    ])
+    def test_bad_q_is_usage_error(self, data_dir, tmp_path, capsys, qs, message):
+        out = tmp_path / "pred.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["predict", "--counts", data_dir / "counts_infections.csv",
+                 "--prices-dir", data_dir / "prices", "--rates", data_dir / "rates.csv",
+                 "--q", qs, "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: robustts predict")
+        assert message in err
+        assert not out.exists()
+
     def test_data_error_is_3_and_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n", encoding="utf-8")
@@ -119,6 +136,21 @@ class TestExitCodes:
         code = run(["tailindex", "--counts", data_dir / "counts_infections.csv",
                     "--country", "Atlantis", "--out", out])
         assert code == 3
+        assert not out.exists()
+
+    def test_tailindex_file_name_clash_is_3(self, data_dir, tmp_path, capsys):
+        # "Terra Nova" and "Terra_Nova" both name their curves Terra_Nova_*
+        lines = (data_dir / "counts_deaths.csv").read_text(encoding="utf-8").splitlines()
+        borduria = next(line for line in lines if ",Borduria," in line)
+        counts = tmp_path / "clash.csv"
+        counts.write_text("\n".join([
+            *lines, borduria.replace("Borduria", "Terra Nova"), borduria.replace("Borduria", "Terra_Nova"),
+        ]) + "\n", encoding="utf-8")
+        out = tmp_path / "curves"
+        code = run(["tailindex", "--counts", counts, "--target", "deaths", "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'Terra Nova'" in err and "'Terra_Nova'" in err
         assert not out.exists()
 
     def test_numerical_failure_is_4(self, tmp_path, capsys):

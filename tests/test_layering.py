@@ -3,12 +3,14 @@
 Every relative import in ``src/robustts/*.py`` (function-level ones included)
 must appear in ``ALLOWED``, and every entry there must still be used, so a new
 cross-layer import, or a removed one, has to edit this table on purpose.
-``"__init__"`` stands for ``from . import ...``.  ``THIRD_PARTY`` pins the
-top-level packages outside the standard library that each module imports, so
-the runtime stays on numpy alone (no scipy).  ``PUBLIC`` pins each
-module's ``__all__`` (``None`` where it has none), so adding or removing a
-public name edits this file on purpose too.  The six statistic names are
-likewise pinned to ``unitroot.py``, the one module allowed to spell them.
+``"__init__"`` stands for ``from . import ...``.  ``PRIVATE_IMPORTS`` pins,
+the same way, the underscored names a module takes from another.
+``THIRD_PARTY`` pins the top-level packages outside the standard library that
+each module imports, so the runtime stays on numpy alone (no scipy).
+``PUBLIC`` pins each module's ``__all__`` (``None`` where it has none), so
+adding or removing a public name edits this file on purpose too.  The six
+statistic names are likewise pinned to ``unitroot.py``, the one module
+allowed to spell them.
 """
 
 import ast
@@ -75,6 +77,16 @@ PUBLIC = {
     "cli": None,
 }
 
+# module -> {module it imports from: the private (underscored) names it takes};
+# every other module takes none
+PRIVATE_IMPORTS = {
+    "bootstrap": {
+        "series": {"_readonly"},
+        "unitroot": {"_battery_by_length", "_battery_rows", "_values"},
+    },
+    "regression": {"series": {"_readonly"}},
+}
+
 # spelled as string constants in unitroot.py alone (``STAT_TAILS``)
 STATISTIC_NAMES = {"LR", "MZa", "MSB", "MZt", "MPt", "ADF"}
 
@@ -93,6 +105,17 @@ def package_imports(path: Path) -> set[str]:
                 if alias.name.split(".")[0] == "robustts"
             )
     return imports
+
+
+def private_imports(path: Path) -> dict[str, set[str]]:
+    """Underscored, non-dunder names taken by relative imports, keyed by source module."""
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = {a.name for a in node.names if a.name.startswith("_") and not a.name.startswith("__")}
+            if names:
+                taken.setdefault(node.module or "__init__", set()).update(names)
+    return taken
 
 
 def third_party_imports(path: Path) -> set[str]:
@@ -121,6 +144,11 @@ def test_every_module_is_in_the_table():
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_match_table(module):
     assert package_imports(PACKAGE / f"{module}.py") == ALLOWED[module]
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_private_imports_match_table(module):
+    assert private_imports(PACKAGE / f"{module}.py") == PRIVATE_IMPORTS.get(module, {})
 
 
 @pytest.mark.parametrize("module", sorted(THIRD_PARTY))

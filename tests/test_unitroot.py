@@ -329,6 +329,31 @@ class TestBatchInvariance:
             assert bits(chunks) == bits(alone), (T, cuts)
 
 
+class TestBatteryRows:
+    # a T=150 row's design is 150 * (13 + 2) * 8 = 18,000 bytes: chunks of
+    # 1 (budget below one row), 1, 2, 5 and all 37 rows
+    @pytest.mark.parametrize("chunk_bytes", [1, 18_000, 40_000, 100_000, unitroot.CHUNK_BYTES])
+    def test_stack_ranges_cover_every_series_once(self, monkeypatch, rng, chunk_bytes):
+        T, n = 150, 37
+        Y = np.cumsum(rng.standard_normal((n, T)), axis=1)
+        row_bytes = T * (default_k_max(T) + 2) * 8
+        ranges = []
+
+        def stack(lo, hi):
+            ranges.append((lo, hi))
+            return Y[lo:hi]
+
+        monkeypatch.setattr(unitroot, "CHUNK_BYTES", chunk_bytes)
+        out = unitroot._battery_rows(n, T, stack)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+        assert all(hi - lo == 1 or (hi - lo) * row_bytes <= chunk_bytes for lo, hi in ranges)
+        assert all(hi > lo for lo, hi in ranges)
+        if chunk_bytes < 2 * row_bytes:
+            assert len(ranges) == n
+        assert bits(out) == bits(_battery_batch(Y))
+
+
 def maic_arguments(monkeypatch, Y):
     """The arguments the kernel passes to ``_maic`` on ``Y``."""
     seen, real = [], unitroot._maic
