@@ -140,10 +140,6 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
             parser.error(f"--out {args.out} lies in {home}, which is not writable")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_manifest(path: Path, args: argparse.Namespace, inputs: dict[str, Path]) -> None:
     # commands without --format or --q still record the defaults, so manifest
     # bytes stay comparable across versions
@@ -156,7 +152,7 @@ def _write_manifest(path: Path, args: argparse.Namespace, inputs: dict[str, Path
         "q": ",".join(str(q) for q in getattr(args, "q", DEFAULT_QS)),
     }
     for label, p in sorted(inputs.items()):
-        lines[f"input.{label}.sha256"] = _sha256(p)
+        lines[f"input.{label}.sha256"] = hashlib.sha256(p.read_bytes()).hexdigest()
     text = "".join(f"{k}={v}\n" for k, v in sorted(lines.items()))
     path.write_text(text, encoding="utf-8")
 
@@ -259,7 +255,7 @@ def cmd_predict(args: argparse.Namespace) -> None:
         (label, predictive_report(align_predictive(excess, regressor), args.q))
         for label, excess, regressor in jobs
     ]
-    table = predict_table(entries, args.q, title=f"Predictive regressions ({args.target})")
+    table = predict_table(entries, title=f"Predictive regressions ({args.target})")
     inputs = {"counts": args.counts, "rates": args.rates}
     inputs.update({f"prices.{index}": path for _, index, path in selected})
     _emit(args, render_table(table, args.format), inputs)
@@ -277,9 +273,8 @@ def cmd_factors(args: argparse.Namespace) -> None:
         raise DataError(f"only {len(i)} return dates covered by the factor panel")
     excess = Series(tuple(returns.dates[k] for k in i), returns.values[i] - panel.columns["RF"][j])
 
-    q0 = args.q[0]
-    reports = [factor_report(excess, panel, name, qs=(q0,)) for name in FACTOR_MODELS]
-    table = factor_table(reports, q0, title=f"Factor models ({country} {index})")
+    reports = [factor_report(excess, panel, name, qs=args.q[:1]) for name in FACTOR_MODELS]
+    table = factor_table(reports, title=f"Factor models ({country} {index})")
     _emit(args, render_table(table, args.format), {"factors": args.factors, f"prices.{index}": path})
 
 

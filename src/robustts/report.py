@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass
 
 from .bootstrap import UnitRootReport
-from .regression import InferenceReport, PredictiveInference
+from .regression import CoefficientInference, InferenceReport, PredictiveInference
 from .tailindex import TailCurve
 from .unitroot import STAT_TAILS
 
@@ -53,14 +53,19 @@ def _md_row(cells) -> str:
     return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
 
 
+def _csv(headers, rows) -> bytes:
+    """CSV bytes (utf-8, LF endings) of a header line and its rows."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
 def render_table(table: Table, fmt: str) -> bytes:
     """Render a table to csv, markdown or latex bytes (utf-8, LF endings)."""
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(table.headers)
-        writer.writerows(table.rows)
-        return out.getvalue().encode("utf-8")
+        return _csv(table.headers, table.rows)
     if fmt == "md":
         lines = [f"## {table.title}", "", _md_row(table.headers), _md_row("---" for _ in table.headers)]
         lines += [_md_row(r) for r in table.rows]
@@ -90,51 +95,40 @@ def unitroot_table(entries: list[tuple[str, UnitRootReport]], title: str) -> Tab
     return Table(title=title, headers=("series", *STAT_TAILS), rows=tuple(rows))
 
 
-def predict_table(entries: list[tuple[str, PredictiveInference]], qs, title: str) -> Table:
+def predict_table(entries: list[tuple[str, PredictiveInference]], title: str) -> Table:
     """One row per (index, regressor): T, grouped t per q, starred HAC t."""
+    qs = tuple(entries[0][1].grouped) if entries else ()  # the rows of one run share their q
     headers = ("series", "T") + tuple(f"q={q}" for q in qs) + ("HAC",)
     rows = []
     for label, inf in entries:
-        cells = [label, str(inf.T)]
-        for q in qs:
-            cells.append(f"{inf.grouped[q].t_stat:.2f}")
-        cells.append(f"{inf.hac_t:.2f}{inf.hac_stars}")
-        rows.append(tuple(cells))
+        grouped = tuple(f"{inf.grouped[q].t_stat:.2f}" for q in qs)
+        rows.append((label, str(inf.T), *grouped, f"{inf.hac_t:.2f}{inf.hac_stars}"))
     return Table(title=title, headers=headers, rows=tuple(rows))
 
 
-def factor_table(reports: list[InferenceReport], q: int, title: str) -> Table:
+def factor_table(reports: list[InferenceReport], title: str) -> Table:
     """Factor rows plus Alpha; per cell the estimate with stacked t-statistics.
 
-    Three lines sit under each estimate: ``[classical]``, ``(HAC)`` with its
-    stars, and ``{grouped}`` at ``q`` groups.
+    Under each estimate sit ``[classical]``, ``(HAC)`` with its stars, and one
+    ``{grouped}`` line per q the coefficient carries.  A factor a model lacks
+    gets as many blank lines as the other cells in its row.
     """
     headers = ("",) + tuple(_model_header(r.model) for r in reports)
-    row_names = []
-    for r in reports:
-        for c in r.coefficients:
-            if c.name not in row_names and c.name != "Alpha":
-                row_names.append(c.name)
-    row_names.append("Alpha")
-
+    models = [{c.name: c for c in r.coefficients} for r in reports]
+    # first-seen order, with the intercept last
+    names = sorted(dict.fromkeys(name for m in models for name in m), key=lambda name: name == "Alpha")
     rows = []
-    for name in row_names:
-        cells = [[], [], [], []]
-        for r in reports:
-            try:
-                c = r.coefficient(name)
-            except KeyError:
-                for lines in cells:
-                    lines.append("")
-                continue
-            cells[0].append(f"{c.estimate:.3f}")
-            cells[1].append(f"[{c.classical_t:.3f}]")
-            cells[2].append(f"({c.hac_t:.3f}){c.hac_stars}")
-            cells[3].append(f"{{{c.grouped[q].t_stat:.3f}}}")
-        rows.append((name,) + tuple(cells[0]))
-        for lines in cells[1:]:
-            rows.append(("",) + tuple(lines))
+    for name in names:
+        cells = [_factor_cell(m[name]) if name in m else None for m in models]
+        blank = [""] * len(next(c for c in cells if c))
+        for j, line in enumerate(zip(*(c or blank for c in cells))):
+            rows.append(("" if j else name,) + line)
     return Table(title=title, headers=headers, rows=tuple(rows))
+
+
+def _factor_cell(c: CoefficientInference) -> list[str]:
+    lines = [f"{c.estimate:.3f}", f"[{c.classical_t:.3f}]", f"({c.hac_t:.3f}){c.hac_stars}"]
+    return lines + [f"{{{g.t_stat:.3f}}}" for g in c.grouped.values()]
 
 
 def _model_header(name: str) -> str:
@@ -143,9 +137,7 @@ def _model_header(name: str) -> str:
 
 def emit_tail_curve(curve: TailCurve) -> bytes:
     """Curve records ``k,frac,zeta,se,ci_lo,ci_hi``, the data behind the plots."""
-    lines = ["k,frac,zeta,se,ci_lo,ci_hi"]
-    for p in curve.points:
-        lines.append(
-            f"{p.k},{p.k / curve.n:.6f},{p.zeta:.6f},{p.se:.6f},{p.ci95[0]:.6f},{p.ci95[1]:.6f}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _csv(
+        ("k", "frac", "zeta", "se", "ci_lo", "ci_hi"),
+        ((p.k, *(f"{v:.6f}" for v in (p.k / curve.n, p.zeta, p.se, *p.ci95))) for p in curve.points),
+    )

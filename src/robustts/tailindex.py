@@ -141,7 +141,8 @@ def k_grid(
         raise ValueError("need 0 < lo_frac <= hi_frac <= 1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    fracs = np.linspace(lo_frac, hi_frac, steps)
+    # beyond 2n steps the fractions lie under half a rank apart, so every k is already on the grid
+    fracs = np.linspace(lo_frac, hi_frac, min(steps, 2 * n))
     ks = np.clip(np.ceil(fracs * n).astype(int), 2, n - 1)
     return tuple(int(k) for k in np.unique(ks))
 

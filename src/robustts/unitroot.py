@@ -118,6 +118,12 @@ def _lag_design(U: np.ndarray, k: int) -> np.ndarray:
     return Z
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("unit-root battery overflows: the series values are too large")
+    return a
+
+
 def _gram(Z: np.ndarray) -> np.ndarray:
     """``Z Z'`` for every row: the regressors' Gram matrix bordered by their
     cross-products with the response and its sum of squares."""
@@ -160,6 +166,8 @@ def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> n
     return np.log(s2) + 2.0 * (tau + np.arange(k_max + 1)) / (T - k_max)
 
 
+# an overflow shows as a non-finite Gram entry, MAIC value or statistic, all checked
+@np.errstate(over="ignore", invalid="ignore")
 def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     """The battery on every row of a C x T matrix of series.
 
@@ -183,8 +191,8 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     # MAIC on the OLS-demeaned data over the common sample t > k_max+1: the
     # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix
     m = k_max + 1
-    A = _gram(_lag_design(U, k_max)[:, :, k_max:])
-    lag = np.argmin(_maic(A[:, :m, :m], A[:, :m, m], A[:, m, m], T, k_max), axis=1)
+    A = _finite(_gram(_lag_design(U, k_max)[:, :, k_max:]))
+    lag = np.argmin(_finite(_maic(A[:, :m, :m], A[:, :m, m], A[:, m, m], T, k_max)), axis=1)
 
     # GLS demeaning, then one stacked ADF fit with every row at its own lag:
     # a row's observations before its sample are zeroed, and so are its lag
@@ -203,7 +211,7 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     Z[:, :, :k_max] *= ~before[:, None, :]
     beyond = np.arange(m) > lag[:, None]
     Z[:, :m][beyond] = 0.0
-    A = _gram(Z)
+    A = _finite(_gram(Z))
     G, g, rr = A[:, :m, :m], A[:, :m, m:], A[:, m, m]
     diag = np.arange(m)
     G[:, diag, diag] += beyond

@@ -379,6 +379,26 @@ class TestExitCodes:
         assert code == 4
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
+    @pytest.mark.parametrize("B", ["0", "99"])
+    @pytest.mark.parametrize("count", ["1e153", "1e155"])
+    def test_overflowing_battery_is_4(self, data_dir, tmp_path, capsys, count, B):
+        # one Borduria count this large makes the battery's sums of squares overflow
+        lines = (data_dir / "counts_infections.csv").read_text(encoding="utf-8").splitlines()
+        column = lines[0].split(",").index("4/27/20")
+        row = next(i for i, line in enumerate(lines) if line.split(",")[1] == "Borduria")
+        fields = lines[row].split(",")
+        fields[column] = count
+        lines[row] = ",".join(fields)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "ur.csv"
+        code = run(["unitroot", "--counts", counts, "--B", B, "--seed", "1", "--out", out])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: unit-root battery overflows: the series values are too large\n"
+        )
+        assert not out.exists()
+
     def test_tiny_adj_close_factor_fit_is_0(self, data_dir, tmp_path, capsys):
         # returns of about 1e82 and 1e152: the HAC t-statistics are scale
         # invariant, and the bandwidth rescales its scores exactly
@@ -528,6 +548,13 @@ class TestTailindexCommand:
         ])
         assert code == 0
         assert (out / "Borduria_deaths_hill.csv").exists()
+
+    def test_any_grid_steps_accepted(self, data_dir, tmp_path):
+        out = tmp_path / "curves"
+        code = run(["tailindex", "--counts", data_dir / "counts_infections.csv",
+                    "--country", "Borduria", "--grid-steps", "1000000000000", "--out", out])
+        assert code == 0
+        assert (out / "Borduria_infections_hill.csv").exists()
 
 
 class TestPredictCommand:

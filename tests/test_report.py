@@ -102,8 +102,8 @@ def _factor_reports():
 def sample_tables() -> dict[str, Table]:
     return {
         "unitroot": unitroot_table(_unitroot_entries(), title="Unit root battery (infections)"),
-        "predict": predict_table(_predict_entries(), (4, 8, 12, 16), title="Predictive regressions"),
-        "factors": factor_table(_factor_reports(), 4, title="Factor models (Arcadia AVX)"),
+        "predict": predict_table(_predict_entries(), title="Predictive regressions"),
+        "factors": factor_table(_factor_reports(), title="Factor models (Arcadia AVX)"),
     }
 
 
@@ -143,7 +143,7 @@ class TestRenderTable:
             render_table(sample_tables()["predict"], "html")
 
     def test_md_escapes_pipes(self):
-        table = predict_table([("Arcadia A|X d1", _predict_entries()[0][1])], (4, 8, 12, 16), title="t")
+        table = predict_table([("Arcadia A|X d1", _predict_entries()[0][1])], title="t")
         lines = render_table(table, "md").decode().splitlines()
         header, row = lines[2], lines[4]
         assert row.startswith("| Arcadia A\\|X d1 | 285 |")

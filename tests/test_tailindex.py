@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +130,13 @@ class TestKGrid:
 
     def test_full_fraction_clips_to_n_minus_one(self):
         assert k_grid(200, 0.5, 1.0, 3)[-1] == 199
+
+    def test_steps_beyond_2n_add_nothing(self):
+        # linspace gets at most 2n points, so a huge count allocates nothing large
+        start = time.perf_counter()
+        for n, lo, hi in [(40, 0.05, 1.0), (1000, 0.025, 0.15), (100_003, 0.3, 0.31)]:
+            assert k_grid(n, lo, hi, 10**12) == k_grid(n, lo, hi, 2 * n)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTailCurve:

@@ -307,6 +307,19 @@ class TestBatteryKernel:
         with pytest.raises(NumericalError, match=f"^{message}$"):
             unit_root_battery(bad)
 
+    @pytest.mark.parametrize("row", [
+        # a walk scaled by 2^520 overflows the MAIC Gram
+        np.cumsum(np.random.default_rng(1).standard_normal(150)) * 2.0**520,
+        # white noise with a large first value, scaled by 2^506, overflows
+        # only the GLS-demeaned ADF Gram
+        np.r_[20.0, np.random.default_rng(3).standard_normal(150)[1:]] * 2.0**506,
+    ], ids=["maic-gram", "adf-gram"])
+    def test_overflowing_row_raises(self, rng, row):
+        Y = np.vstack([random_walk(rng, 150), row, random_walk(rng, 150)])
+        message = "^unit-root battery overflows: the series values are too large$"
+        with pytest.raises(NumericalError, match=message):
+            _battery_batch(Y)
+
 
 def bits(out):
     """A kernel result's arrays as raw bytes, for bit-for-bit comparison."""
