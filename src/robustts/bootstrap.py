@@ -12,8 +12,9 @@ resampler, inside ``unitroot._battery_rows``, the one chunk loop over the
 battery kernel, which serves the observed series too.  Both work row by
 row, so no bit of a report depends on how the replicates are split into
 chunks.  Replication ``r`` draws its multipliers from a seed derived only
-from the base seed and ``r``, so results never depend on evaluation order
-either.
+from the base seed and ``r``, with the bits of ``SeedSequence`` and ``PCG64``
+but one vectorised pass per chunk, so results never depend on evaluation
+order either.
 """
 
 from __future__ import annotations
@@ -93,32 +94,75 @@ class UnitRootReport:
         return self.result.p_values
 
 
+# numpy's SeedSequence hash constants (pool size 4, xorshift 16) and PCG64 multiplier
+_MASK32, _MASK128, _PCG_MULT = 2**32 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
 def _seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        parts = (int(seed),)
-    else:
-        parts = tuple(int(s) for s in seed)
+    """``seed`` as a tuple of non-negative ints; as in ``SeedSequence``, no other seed is coerced."""
+    parts = (seed,) if isinstance(seed, (int, np.integer)) else seed
+    if not isinstance(parts, (tuple, list)) or not all(isinstance(s, (int, np.integer)) for s in parts):
+        raise TypeError(f"seed must be a non-negative int or a tuple of them, got {seed!r}")
     if any(s < 0 for s in parts):
         raise ValueError("seed components must be non-negative")
-    return parts
+    return tuple(int(s) for s in parts)
+
+
+def _hash(v: np.ndarray, h: np.ndarray, h_next: np.ndarray) -> np.ndarray:
+    """One step of SeedSequence's running hash on uint32 lanes ``v``, from constant ``h``."""
+    v = (v ^ h) * h_next
+    return v ^ (v >> _SHIFT)
+
+
+def _state_words(words: list[list[int]]) -> list[list[int]]:
+    """``SeedSequence(w).generate_state(4, np.uint64)`` of each list ``w`` of uint32 words, as
+    four lists of ints: numpy's hash, one lane per ``w``, in step since the hash constants do
+    not depend on the data; a lane's pool stops mixing in words when its own run out."""
+    k = np.maximum([len(w) for w in words], 4)
+    width = int(k.max(initial=4))
+    entropy = np.array([w + [0] * (width - len(w)) for w in words], np.uint32).reshape(len(words), width).T
+    # the j-th hash step uses constants INIT * MULT**j and INIT * MULT**(j + 1), mod 2**32
+    a = np.cumprod(np.array([_INIT_A] + [_MULT_A] * 4 * width, np.uint32), dtype=np.uint32)
+    pool = list(_hash(entropy[:4], a[:4, None], a[1:5, None]))
+    for j, (s, d) in enumerate(((s, d) for s in range(width) for d in range(4) if s != d), start=4):
+        r = _MIX_L * pool[d] - _MIX_R * _hash(pool[s] if s < 4 else entropy[s], a[j], a[j + 1])
+        pool[d] = np.where(s < k, r ^ (r >> _SHIFT), pool[d])
+    b = np.cumprod(np.array([_INIT_B] + [_MULT_B] * 8, np.uint32), dtype=np.uint32)
+    state = _hash(np.array(pool * 2), b[:8, None], b[1:, None]).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).tolist()  # low half first, as '<u4' -> '<u8'
+
+
+def _rademacher_rows(seeds, n: int) -> np.ndarray:
+    """``rademacher(seeds[i], n)`` as row ``i``, for checked int or tuple seeds: one vectorised
+    ``SeedSequence`` hash for all rows, then each row's PCG64 state, seeded in 128-bit ints as
+    numpy seeds it, set on one ``PCG64`` for its ``random_raw`` words, none built per row."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    parts = [(x,) if isinstance(x, int) else x for x in seeds]
+    words = [[p >> s & _MASK32 for p in x for s in range(0, max(p.bit_length(), 1), 32)] for x in parts]
+    block = np.empty((len(words), (n + 1) // 2), dtype="<u8")
+    bitgen = np.random.PCG64(0)
+    fresh = bitgen.state  # no buffered 32-bit half, as after seeding
+    for row, w0, w1, w2, w3 in zip(block, *_state_words(words)):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {**fresh, "state": {"state": state, "inc": inc}}
+        row[:] = bitgen.random_raw(len(row))
+    # little-endian words viewed as 32-bit values put each low half first
+    return (block.view("<u4")[:, :n] >> 31) * 2.0 - 1.0
 
 
 def rademacher(seed, n: int) -> np.ndarray:
-    """Deterministic vector of equiprobable +-1 multipliers.
+    """Deterministic vector of equiprobable +-1 multipliers: one row of :func:`_rademacher_rows`.
 
     The signs are the top bits of the 32-bit halves, low half first, of
-    ``PCG64(SeedSequence(seed)).random_raw((n + 1) // 2)``: +1 where the bit
-    is set.  That is bit for bit ``default_rng(SeedSequence(seed)).integers(0,
-    2, size=n) * 2.0 - 1.0``, since Lemire's method never rejects at range 2
-    and returns the top bit of each 32-bit draw, but it rests only on the
-    PCG64 and SeedSequence streams, which NEP 19 keeps stable.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    words = np.random.PCG64(np.random.SeedSequence(_seed_tuple(seed))).random_raw((n + 1) // 2)
-    # little-endian words viewed as 32-bit values put each low half first
-    halves = words.astype("<u8", copy=False).view("<u4")[:n]
-    return (halves >> 31) * 2.0 - 1.0
+    ``PCG64(SeedSequence(seed)).random_raw((n + 1) // 2)``.  That is bit for
+    bit ``default_rng(SeedSequence(seed)).integers(0, 2, size=n) * 2.0 - 1.0``
+    (Lemire's method never rejects at range 2 and returns the top bit of each
+    32-bit draw), and NEP 19 keeps both streams stable."""
+    return _rademacher_rows([_seed_tuple(seed)], n)[0]
 
 
 def fit_sieve(dy, p: int) -> SieveModel:
@@ -179,18 +223,19 @@ def _recolour_kernel(phi: tuple[float, ...], n: int) -> tuple[int, np.ndarray]:
 def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
     """One bootstrap series per seed, stacked as rows.
 
-    ``eps*_t = w_t * e_t`` with Rademacher ``w`` drawn from the row's seed;
-    the differences follow ``d*_t = sum_j phi_j d*_{t-j} + eps*_t`` from zero
-    pre-sample values, and the level series is their cumulative sum (unit
-    root imposed).  For ``p > 0`` that is one FFT convolution ``eps* ⊛ c``
-    with the cumulated impulse response ``c`` of ``1/phi(L)``, exact to
-    rounding relative to the largest ``|c_t|``: an explosive sieve (AR root
-    modulus >= 1) loses accuracy in its early values.
+    ``eps*_t = w_t * e_t`` with Rademacher ``w`` drawn from the row's seed, all
+    rows by one :func:`_rademacher_rows` pass; the differences follow
+    ``d*_t = sum_j phi_j d*_{t-j} + eps*_t`` from zero pre-sample values, and
+    the level series is their cumulative sum (unit root imposed).  For
+    ``p > 0`` that is one FFT convolution ``eps* ⊛ c`` with the cumulated
+    impulse response ``c`` of ``1/phi(L)``, exact to rounding relative to the
+    largest ``|c_t|``: an explosive sieve (AR root modulus >= 1) loses
+    accuracy in its early values.
 
     Rows are transformed independently, so a row's bits do not depend on the
     other seeds in its chunk, nor on the chunk's size.
     """
-    eps = np.stack([rademacher(seed, len(model.residuals)) for seed in seeds]) * model.residuals
+    eps = _rademacher_rows(seeds, len(model.residuals)) * model.residuals
     if model.p == 0:
         return np.cumsum(eps, axis=1)
     L, kernel = model._kernel

@@ -4,7 +4,8 @@
 filter with ``scipy.signal.lfilter`` and cumulates them, as the recursion is
 written.  The library computes the same series by one FFT convolution with
 the cumulated impulse response (:func:`robustts.bootstrap._resample_chunk`);
-the tests hold it to this filter.
+the tests hold it to this filter.  The multipliers come from numpy's own
+``Generator.integers``, not from the library's draw.
 """
 
 from __future__ import annotations
@@ -12,12 +13,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import lfilter
 
-from robustts.bootstrap import SieveModel, rademacher
+from robustts.bootstrap import SieveModel
 
 
 def resample_chunk(model: SieveModel, seeds) -> np.ndarray:
     """One bootstrap series per seed, stacked as rows, by recursive filtering."""
-    eps = np.stack([rademacher(seed, len(model.residuals)) for seed in seeds]) * model.residuals
+    n = len(model.residuals)
+    signs = [
+        np.random.default_rng(np.random.SeedSequence(s)).integers(0, 2, size=n) * 2.0 - 1.0 for s in seeds
+    ]
+    eps = np.stack(signs) * model.residuals
     if model.p == 0:
         dstar = eps
     else:

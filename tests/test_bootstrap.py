@@ -95,7 +95,7 @@ class TestResampleNull:
     def test_unit_multipliers_give_cumsum_of_residuals(self, rng, monkeypatch):
         dy = rng.standard_normal(40)
         model = fit_sieve(dy, 0)
-        monkeypatch.setattr(bt, "rademacher", lambda seed, n: np.ones(n))
+        monkeypatch.setattr(bt, "_rademacher_rows", lambda seeds, n: np.ones((len(seeds), n)))
         y_star = bt._resample_chunk(model, [0])[0]
         assert np.allclose(y_star, np.cumsum(dy - dy.mean()))
 
@@ -104,7 +104,7 @@ class TestResampleNull:
         resid = dy[1:] - dy[1:].mean()
         model = SieveModel(phi=(0.0,), residuals=resid)
         w = rademacher(3, len(model.residuals))
-        monkeypatch.setattr(bt, "rademacher", lambda seed, n: w)
+        monkeypatch.setattr(bt, "_rademacher_rows", lambda seeds, n: np.tile(w, (len(seeds), 1)))
         y_star = bt._resample_chunk(model, [0])[0]
         assert np.allclose(np.diff(y_star, prepend=0.0), w * model.residuals)
 
@@ -266,12 +266,29 @@ class TestBootstrapPvalues:
             with pytest.raises(ValueError, match=">= 99"):
                 unit_root_report(y, B=B, seed=0)
 
+    def test_string_seed_is_rejected(self, rng):
+        # a string iterates to its digits: "12" must not read as (1, 2)
+        y = np.cumsum(rng.standard_normal(60))
+        with pytest.raises(TypeError, match="seed must be"):
+            unit_root_report(y, B=99, seed="12")
+
+    def test_float_seed_part_is_rejected(self, rng):
+        # not truncated to (1, 2): numpy's SeedSequence((1.7, 2)) raises TypeError too
+        y = np.cumsum(rng.standard_normal(60))
+        with pytest.raises(TypeError, match="seed must be"):
+            unit_root_report(y, B=99, seed=(1.7, 2))
+
+    def test_float_seed_is_rejected(self, rng):
+        y = np.cumsum(rng.standard_normal(60))
+        with pytest.raises(TypeError, match="seed must be"):
+            unit_root_report(y, B=99, seed=1.5)
+
     def test_b_zero_is_the_battery_alone(self, rng, monkeypatch):
         def never(*args):
             raise AssertionError("B=0 must fit no sieve and draw nothing")
 
         monkeypatch.setattr(bt, "fit_sieve", never)
-        monkeypatch.setattr(bt, "rademacher", never)
+        monkeypatch.setattr(bt, "_rademacher_rows", never)
         # 25 observations: enough for the battery, too few for a bootstrap
         y = np.cumsum(rng.standard_normal(25))
         rep = unit_root_report(y, B=0, seed=None)
