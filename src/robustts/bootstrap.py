@@ -7,14 +7,16 @@ cumulation are one FFT convolution with the sieve's cumulated impulse response.
 The battery (including lag re-selection) is recomputed on each replicate and
 p-values are rank based: ``p = (1 + #at-least-as-extreme) / (B + 1)``.
 
-Replicates are resampled in chunks by ``_resample_chunk``, the one
-resampler, inside ``unitroot._battery_rows``, the one chunk loop over the
-battery kernel, which serves the observed series too.  Both work row by
-row, so no bit of a report depends on how the replicates are split into
-chunks.  Replication ``r`` draws its multipliers from a seed derived only
-from the base seed and ``r``, with the bits of ``SeedSequence`` and ``PCG64``
-but one vectorised pass per chunk, so results never depend on evaluation
-order either.
+``unit_root_report`` (``B=0``: the battery alone) and ``unit_root_reports``
+are the one road from a series to its statistics; ``_reports`` stacks the
+observed series by length.  Replicates are resampled in chunks by
+``_resample_chunk``, the one resampler, inside ``unitroot._battery_rows``,
+the one chunk loop over the battery kernel, which serves the observed series
+too.  Both work row by row, so no bit of a report depends on how the series
+or the replicates are split into chunks.  Replication ``r`` draws its
+multipliers from a seed derived only from the base seed and ``r``, with the
+bits of ``SeedSequence`` and ``PCG64`` but one vectorised pass per chunk, so
+results never depend on evaluation order either.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .series import _readonly
 from .unitroot import MIN_BATTERY_LENGTH, STAT_TAILS, UnitRootStats
-from .unitroot import _battery_by_length, _battery_rows, _values
+from .unitroot import _battery_rows, _stats, _values
 
 __all__ = [
     "SieveModel",
@@ -168,8 +170,12 @@ def rademacher(seed, n: int) -> np.ndarray:
 def fit_sieve(dy, p: int) -> SieveModel:
     """Least-squares AR(p) on the differences, intercept included.
 
-    Residuals are re-centered so multiplying them by +-1 draws leaves the
-    bootstrap innovations mean-zero.
+    A fit with an inverse root of modulus >= 1, whose replicates would
+    explode, is redone by Yule-Walker, which is always causal (Buhlmann
+    1997): the biased autocovariances of the demeaned differences, one
+    Toeplitz solve, intercept ``mean * (1 - sum(phi))``.  Residuals are
+    re-centered so multiplying them by +-1 draws leaves the bootstrap
+    innovations mean-zero.
     """
     d = np.asarray(dy, dtype=float)
     n = len(d)
@@ -185,6 +191,11 @@ def fit_sieve(dy, p: int) -> SieveModel:
     G = X.T @ X
     try:
         b = np.linalg.solve(G, X.T @ resp)
+        if p and np.abs(np.roots(np.r_[1.0, -b[1:]])).max() >= 1.0:
+            u = d - d.mean()
+            acov = np.array([u[: n - j] @ u[j:] for j in range(p + 1)]) / n
+            phi = np.linalg.solve(acov[np.abs(np.subtract.outer(range(p), range(p)))], acov[1:])
+            b = np.r_[d.mean() * (1.0 - phi.sum()), phi]
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular sieve regression") from exc
     resid = resp - X @ b
@@ -252,11 +263,11 @@ def _pvalue(stat: float, replicates: np.ndarray, tail: str, B: int) -> float:
     return (1.0 + extreme) / (B + 1.0)
 
 
-def _report(y, stats: UnitRootStats, B: int, seed_parts: tuple[int, ...]) -> UnitRootReport:
-    """The report of series ``y`` whose battery is ``stats``: no bootstrap at ``B=0``."""
+def _report(v: np.ndarray, stats: UnitRootStats, B: int, seed_parts: tuple[int, ...]) -> UnitRootReport:
+    """The report of the series with values ``v`` and battery ``stats``: no bootstrap at ``B=0``."""
     if B == 0:
         return UnitRootReport(stats, BootstrapResult(p_values={}, B=0, seed=()))
-    model = fit_sieve(np.diff(_values(y)), stats.lag)
+    model = fit_sieve(np.diff(v), stats.lag)
     n = len(model.residuals)
     if n < MIN_BATTERY_LENGTH:
         raise DataError(f"bootstrap series would have {n} observations; need at least {MIN_BATTERY_LENGTH}")
@@ -270,19 +281,26 @@ def _report(y, stats: UnitRootStats, B: int, seed_parts: tuple[int, ...]) -> Uni
 
 def _reports(ys, B: int, seeds) -> list[UnitRootReport]:
     """The report of each ``ys[i]`` with seed ``seeds[i]``; the seeds are read
-    after ``B`` is checked, and only when ``B > 0``.  Should the stacked
-    observed batteries fail, the series run again one at a time, in order,
-    so the first failing series raises its own error."""
+    after ``B`` is checked, and only when ``B > 0``.  The observed batteries
+    run with one ``_battery_rows`` per length, whose error is that of
+    whichever chunk fails first; should one fail, the series run again one
+    at a time, in order, so the first failing series raises its own error,
+    be it its battery's or its bootstrap's."""
     if B != 0 and B < MIN_REPLICATIONS:
         raise ValueError(f"B must be 0 or >= {MIN_REPLICATIONS}, got {B}")
     seeds = [_seed_tuple(s) for s in seeds] if B else [()] * len(ys)
+    values = [_values(y) for y in ys]
+    batteries: dict[int, UnitRootStats] = {}
     try:
-        batteries = _battery_by_length(ys)
+        for T in dict.fromkeys(map(len, values)):
+            rows = [i for i, v in enumerate(values) if len(v) == T]
+            out = _battery_rows(len(rows), T, lambda lo, hi: np.stack([values[i] for i in rows[lo:hi]]))
+            batteries.update(zip(rows, _stats(out)))
     except (DataError, NumericalError):
-        if len(ys) == 1:
+        if len(values) == 1:
             raise
-        return [_reports([y], B, [s])[0] for y, s in zip(ys, seeds)]
-    return [_report(y, stats, B, s) for y, stats, s in zip(ys, batteries, seeds)]
+        return [_reports([v], B, [s])[0] for v, s in zip(values, seeds)]
+    return [_report(v, batteries[i], B, s) for i, (v, s) in enumerate(zip(values, seeds))]
 
 
 def unit_root_report(y, B: int = DEFAULT_B, seed=0) -> UnitRootReport:

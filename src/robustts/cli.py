@@ -257,7 +257,10 @@ def cmd_predict(args: argparse.Namespace) -> None:
     ]
     table = predict_table(entries, title=f"Predictive regressions ({args.target})")
     inputs = {"counts": args.counts, "rates": args.rates}
-    inputs.update({f"prices.{index}": path for _, index, path in selected})
+    # a file is keyed by its index, or by its stem where two files share the index
+    indices = [index for _, index, _ in selected]
+    for _, index, path in selected:
+        inputs[f"prices.{path.stem if indices.count(index) > 1 else index}"] = path
     _emit(args, render_table(table, args.format), inputs)
 
 

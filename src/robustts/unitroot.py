@@ -8,12 +8,13 @@ series by the modified AIC computed from standard ADF regressions on
 OLS-demeaned data; the statistics themselves use GLS-demeaned data with that
 shared lag.
 
-:func:`_battery_batch` evaluates the battery on a stack of series with
-batched Gram matrices and stacked solves; :func:`_battery_rows`, its one
-loop, calls it per chunk of series, for the observed series stacked by
-length (:func:`_battery_by_length`) and the bootstrap's replicates alike.
-A row's bits do not depend on the rows sharing its call.  The scalar
-formula references it is tested against live in ``tests/reference_unitroot.py``.
+This module is the kernel alone: :func:`_battery_batch` evaluates the
+battery on a stack of series with batched Gram matrices and stacked solves,
+:func:`_battery_rows`, its one loop, calls it per chunk of series, and
+:func:`_stats` turns its rows into :class:`UnitRootStats`.  A row's bits do
+not depend on the rows sharing its call.  Series reach it through
+:mod:`robustts.bootstrap`.  The scalar formula references it is tested
+against live in ``tests/reference_unitroot.py``.
 
 No critical values are shipped: decisions are meant to come from the
 bootstrap p-values in :mod:`robustts.bootstrap`.
@@ -30,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError, NumericalError
 from .series import Series
 
-__all__ = ["STAT_TAILS", "UnitRootStats", "default_k_max", "unit_root_battery"]
+__all__ = ["STAT_TAILS", "UnitRootStats", "default_k_max"]
 
 # the six statistics in table order, with the side each rejects on: LR
 # rejects for large values, the rest for small
@@ -276,34 +277,8 @@ def _battery_rows(n: int, T: int, stack) -> dict[str, np.ndarray]:
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
 
-def _battery_by_length(ys) -> list[UnitRootStats]:
-    """:func:`unit_root_battery` of every series, with one
-    :func:`_battery_rows` per length.
-
-    A row's bits do not depend on the rows sharing its call, so each series
-    gets the statistics it gets alone.  Should any series fail, the error
-    raised is the one of whichever chunk fails first, not necessarily that
-    of the first failing series.
-    """
-    values = [_values(y) for y in ys]
-    stats: list[UnitRootStats | None] = [None] * len(values)
-    for T in dict.fromkeys(map(len, values)):
-        rows = [i for i, v in enumerate(values) if len(v) == T]
-        out = _battery_rows(len(rows), T, lambda lo, hi: np.stack([values[i] for i in rows[lo:hi]]))
-        # the UnitRootStats fields in order; MZt is derived from MZa and MSB
-        fields = (out[key].tolist() for key in ("LR", "MZa", "MSB", "MPt", "ADF", "lag", "s2_ar"))
-        for i, row in zip(rows, zip(*fields)):
-            stats[i] = UnitRootStats(*row)
-    return stats
-
-
-def unit_root_battery(y) -> UnitRootStats:
-    """Run the full battery on one series.
-
-    OLS-demeaned data drive the MAIC lag choice up to ``default_k_max(T)``;
-    GLS-demeaned data (constant case, ``DEFAULT_C_BAR``) feed the ADF, MZ,
-    MSB and MPt statistics, all at the shared selected lag; the LR profile
-    uses the series directly (it demeans internally).  This is the one-series
-    case of :func:`_battery_by_length`.
-    """
-    return _battery_by_length([y])[0]
+def _stats(out: dict[str, np.ndarray]) -> list[UnitRootStats]:
+    """One :class:`UnitRootStats` per row of a kernel result."""
+    # the UnitRootStats fields in order; MZt is derived from MZa and MSB
+    fields = (out[key].tolist() for key in ("LR", "MZa", "MSB", "MPt", "ADF", "lag", "s2_ar"))
+    return [UnitRootStats(*row) for row in zip(*fields)]

@@ -14,7 +14,7 @@ from robustts.bootstrap import (
 from robustts.errors import DataError, NumericalError
 from robustts.ingest import ingest_counts
 from robustts.series import difference, positive_window
-from robustts.unitroot import _values, unit_root_battery
+from robustts.unitroot import _values
 
 from reference_bootstrap import resample_chunk as reference_chunk
 
@@ -156,7 +156,62 @@ def cascadia_d1_sieve(data_dir):
     """The order-11 sieve of the Cascadia d1 fixture series (sum of phi about -5.5)."""
     counts = ingest_counts(data_dir / "counts_infections.csv")
     y = difference(positive_window(counts["Cascadia"]), 1)
-    return fit_sieve(np.diff(_values(y)), unit_root_battery(y).lag)
+    return fit_sieve(np.diff(_values(y)), unit_root_report(y, B=0).stats.lag)
+
+
+def ols_phi(d, p):
+    """The AR coefficients of a least-squares AR(p) fit with intercept, by ``lstsq``."""
+    n = len(d)
+    X = np.column_stack([np.ones(n - p)] + [d[p - j : n - j] for j in range(1, p + 1)])
+    return np.linalg.lstsq(X, d[p:], rcond=None)[0][1:]
+
+
+def yule_walker_phi(d, p):
+    """The Yule-Walker AR(p) coefficients from the biased autocovariances of ``d``."""
+    u = d - d.mean()
+    acov = np.correlate(u, u, "full")[len(u) - 1 : len(u) + p] / len(u)
+    R = np.array([[acov[abs(i - j)] for j in range(p)] for i in range(p)])
+    return np.linalg.solve(R, acov[1:])
+
+
+class TestCausalSieve:
+    # a Cauchy walk whose largest difference is its last: the OLS AR(1) sieve
+    # at its MAIC lag has coefficient 6.93, and replicates grown from it overflow
+    EXPLOSIVE = np.cumsum(np.random.default_rng([2, 821, 150, 1]).standard_cauchy(151))
+
+    def test_explosive_fit_falls_back_to_yule_walker(self):
+        d = np.diff(self.EXPLOSIVE)
+        assert ols_phi(d, 1)[0] == pytest.approx(6.93, abs=5e-3)
+        model = fit_sieve(d, 1)
+        assert model.phi[0] == pytest.approx(yule_walker_phi(d, 1)[0], rel=1e-10)
+        assert largest_root_modulus(model.phi) < 0.01
+
+    def test_explosive_series_gets_a_report(self):
+        rep = unit_root_report(self.EXPLOSIVE, B=199, seed=0)
+        assert rep.stats.lag == 1
+        assert rep.p_values["ADF"] == pytest.approx(0.62)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_fallback_is_causal_at_any_order(self, p):
+        dy = np.random.default_rng(3).standard_t(1, 150)
+        dy[-1] = 1e4 * np.sign(dy[-2])
+        assert largest_root_modulus(ols_phi(dy, p)) > 1.0
+        model = fit_sieve(dy, p)
+        assert np.allclose(model.phi, yule_walker_phi(dy, p), rtol=1e-10, atol=1e-12)
+        assert largest_root_modulus(model.phi) < 1.0
+
+    @pytest.mark.parametrize("target", ["infections", "deaths"])
+    def test_fixture_sieves_keep_their_least_squares_fit(self, data_dir, target):
+        # every fixture sieve is causal, so the fallback leaves the goldens alone
+        counts = ingest_counts(data_dir / f"counts_{target}.csv")
+        for name in counts:
+            for order in (1, 2):
+                y = difference(positive_window(counts[name]), order)
+                d = np.diff(_values(y))
+                lag = unit_root_report(y, B=0).stats.lag
+                if lag:
+                    assert largest_root_modulus(ols_phi(d, lag)) < 1.0, (name, order)
+                assert np.allclose(fit_sieve(d, lag).phi, ols_phi(d, lag), rtol=1e-10, atol=1e-12)
 
 
 class TestResampleChunk:
@@ -292,7 +347,7 @@ class TestBootstrapPvalues:
         # 25 observations: enough for the battery, too few for a bootstrap
         y = np.cumsum(rng.standard_normal(25))
         rep = unit_root_report(y, B=0, seed=None)
-        assert rep.stats == unit_root_battery(y)
+        assert rep.stats == unitroot._stats(unitroot._battery_batch(y[None, :]))[0]
         assert rep.p_values == {} and rep.result.B == 0
         monkeypatch.undo()
         with pytest.raises(DataError, match="bootstrap series"):
@@ -360,6 +415,16 @@ class TestReports:
             unit_root_report(ys[1], B=B, seed=(0, 1))
         with pytest.raises(NumericalError, match="^degenerate ADF regression at lag 0$"):
             unit_root_reports(ys, B=B, seed=0)
+
+    def test_first_failing_series_raises_its_battery_or_bootstrap_error(self):
+        # the walk's battery runs, but its bootstrap is one observation short;
+        # the constant series fails in its battery
+        walk = np.cumsum(np.random.default_rng(5).standard_normal(25))
+        flat = np.full(40, 3.5)
+        with pytest.raises(DataError, match="^bootstrap series would have 24 observations; need at least 25$"):
+            unit_root_reports([walk, flat], B=99, seed=0)
+        with pytest.raises(NumericalError, match="^singular ADF regression$"):
+            unit_root_reports([flat, walk], B=99, seed=0)
 
     def test_short_series_is_a_data_error(self):
         ys = walks([150, 24, 150])

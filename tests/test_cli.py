@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -521,6 +522,18 @@ class TestUnitrootCommand:
         assert code == 0
         assert out.read_text().startswith("## Unit root battery (infections)")
 
+    def test_backlog_dump_gets_a_causal_sieve(self, tmp_path):
+        # daily counts ending in a backlog far above the rest: the d1 series'
+        # least-squares sieve at its MAIC lag 1 is explosive (coefficient 6.93)
+        y = np.cumsum(np.random.default_rng([2, 821, 150, 1]).standard_cauchy(151))
+        d1 = y - y.min() + 1.0
+        counts = tmp_path / "counts.csv"
+        write_counts(counts, {"Backlog": [1.0, *(1.0 + np.cumsum(d1)).tolist()]})
+        out = tmp_path / "ur.csv"
+        assert run(["unitroot", "--counts", counts, "--B", "99", "--seed", "1", "--out", out]) == 0
+        labels = [line.split(",")[0] for line in out.read_text().splitlines()]
+        assert labels == ["series", "Backlog d1", "", "Backlog d2", ""]
+
 
 class TestTailindexCommand:
     def test_curve_files_per_country_and_method(self, data_dir, tmp_path):
@@ -593,6 +606,23 @@ class TestPredictCommand:
         ])
         assert code == 0
         assert out.read_text().splitlines()[0] == "series,T,q=4,q=8,HAC"
+
+    def test_manifest_keeps_every_price_file_of_a_shared_index(self, data_dir, tmp_path):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        for src, dst in (("Arcadia_AVX", "Arcadia_IDX"), ("Borduria_BDX", "Borduria_IDX")):
+            (prices / f"{dst}.csv").write_bytes((data_dir / "prices" / f"{src}.csv").read_bytes())
+        out = tmp_path / "pred.csv"
+        code = run([
+            "predict", "--counts", data_dir / "counts_infections.csv",
+            "--prices-dir", prices, "--rates", data_dir / "rates.csv", "--out", out,
+        ])
+        assert code == 0
+        manifest = (tmp_path / "pred.csv.manifest").read_text().splitlines()
+        for stem in ("Arcadia_IDX", "Borduria_IDX"):
+            digest = hashlib.sha256((prices / f"{stem}.csv").read_bytes()).hexdigest()
+            assert f"input.prices.{stem}.sha256={digest}" in manifest
+        assert not any(line.startswith("input.prices.IDX.") for line in manifest)
 
 
 class TestFactorsCommand:

@@ -61,7 +61,7 @@ PUBLIC = {
         "align_predictive", "positive_part", "positive_window",
     ],
     "ingest": ["ingest_counts", "ingest_prices", "ingest_rates", "ingest_factors"],
-    "unitroot": ["STAT_TAILS", "UnitRootStats", "default_k_max", "unit_root_battery"],
+    "unitroot": ["STAT_TAILS", "UnitRootStats", "default_k_max"],
     "bootstrap": [
         "SieveModel", "BootstrapResult", "UnitRootReport", "fit_sieve", "rademacher",
         "unit_root_report", "unit_root_reports",
@@ -82,7 +82,7 @@ PUBLIC = {
 PRIVATE_IMPORTS = {
     "bootstrap": {
         "series": {"_readonly"},
-        "unitroot": {"_battery_by_length", "_battery_rows", "_values"},
+        "unitroot": {"_battery_rows", "_stats", "_values"},
     },
     "regression": {"series": {"_readonly"}},
 }

@@ -5,7 +5,8 @@ import pytest
 
 import robustts.unitroot as unitroot
 from robustts.errors import NumericalError
-from robustts.unitroot import UnitRootStats, _battery_batch, default_k_max, unit_root_battery
+from robustts.bootstrap import unit_root_report
+from robustts.unitroot import UnitRootStats, _battery_batch, default_k_max
 
 from reference_unitroot import (
     _adf_fit,
@@ -190,8 +191,8 @@ class TestLrTest:
 class TestBattery:
     def test_affine_invariance(self, rng):
         y = random_walk(rng, 150)
-        base = unit_root_battery(y)
-        moved = unit_root_battery(7.3 * y - 41.0)
+        base = unit_root_report(y, B=0).stats
+        moved = unit_root_report(7.3 * y - 41.0, B=0).stats
         for name, value in base.as_dict().items():
             assert moved.as_dict()[name] == pytest.approx(value, rel=1e-7, abs=1e-9), name
         assert moved.lag == base.lag
@@ -201,31 +202,31 @@ class TestBattery:
         levels = np.cumsum(np.cumsum(w))
         d2 = np.diff(levels, n=2)
         assert np.allclose(d2, w[2:], rtol=1e-9, atol=1e-9)
-        a = unit_root_battery(d2)
-        b = unit_root_battery(w[2:])
+        a = unit_root_report(d2, B=0).stats
+        b = unit_root_report(w[2:], B=0).stats
         for name, value in a.as_dict().items():
             assert b.as_dict()[name] == pytest.approx(value, rel=1e-6), name
 
     def test_s2_ar_positive(self, rng):
         for _ in range(10):
-            stats = unit_root_battery(random_walk(rng, 80))
+            stats = unit_root_report(random_walk(rng, 80), B=0).stats
             assert stats.s2_ar > 0
 
     def test_identity_enforced_by_type(self, rng):
         with pytest.raises(TypeError, match="mz_t"):
             UnitRootStats(lr=1, mz_alpha=-2, msb=0.5, mz_t=5.0, mp_t=1, adf=-1, lag=0, s2_ar=1)
         y = random_walk(rng, 120)
-        stats = unit_root_battery(y)
+        stats = unit_root_report(y, B=0).stats
         assert stats.mz_t == stats.mz_alpha * stats.msb
         assert stats.mz_t == _battery_batch(y[None, :])["MZt"][0]
 
     def test_minimum_length(self, rng):
         with pytest.raises(ValueError, match="at least 25"):
-            unit_root_battery(rng.standard_normal(20))
+            unit_root_report(rng.standard_normal(20), B=0)
 
     def test_shared_lag_reported(self, rng):
         y = np.cumsum(ar1(rng, 300, 0.6))
-        stats = unit_root_battery(y)
+        stats = unit_root_report(y, B=0).stats
         sel = select_lag_maic(y - y.mean(), default_k_max(len(y)))
         assert stats.lag == sel.k
 
@@ -305,7 +306,7 @@ class TestBatteryKernel:
         with pytest.raises(NumericalError, match=f"^{message}$"):
             _battery_batch(Y)
         with pytest.raises(NumericalError, match=f"^{message}$"):
-            unit_root_battery(bad)
+            unit_root_report(bad, B=0)
 
     @pytest.mark.parametrize("row", [
         # a walk scaled by 2^520 overflows the MAIC Gram
