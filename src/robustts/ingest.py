@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from datetime import date as Date
 from datetime import datetime
 
@@ -33,6 +34,8 @@ COUNTS_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 PRICES_HEADER = ("Date", "Open", "High", "Low", "Close", "Adj Close", "Volume")
 RATES_HEADER = ("date", "rate_pct")
 FACTORS_HEADER = ("date", "Mkt.RF", "SMB", "HML", "MOM", "RMW", "CMA", "RF")
+# the one shape on which date.fromisoformat agrees with strptime("%Y-%m-%d")
+ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def _read_rows(path) -> list[list[str]]:
@@ -58,8 +61,11 @@ def _data_rows(rows: list[list[str]], path):
 
 
 def _parse_date(raw: str, fmt: str, path, line: int, field: str) -> Date:
+    text = raw.strip()
     try:
-        return datetime.strptime(raw.strip(), fmt).date()
+        if fmt == "%Y-%m-%d" and ISO_DATE.fullmatch(text):
+            return Date.fromisoformat(text)
+        return datetime.strptime(text, fmt).date()
     except ValueError as exc:
         raise DataError(f"unparseable date {raw!r}", path=path, line=line, field=field) from exc
 

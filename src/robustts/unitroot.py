@@ -9,12 +9,12 @@ OLS-demeaned data; the statistics themselves use GLS-demeaned data with that
 shared lag.
 
 This module is the kernel alone: :func:`_battery_batch` evaluates the
-battery on a stack of series with batched Gram matrices and stacked solves,
-:func:`_battery_rows`, its one loop, calls it per chunk of series, and
-:func:`_stats` turns its rows into :class:`UnitRootStats`.  A row's bits do
-not depend on the rows sharing its call.  Series reach it through
-:mod:`robustts.bootstrap`.  The scalar formula references it is tested
-against live in ``tests/reference_unitroot.py``.
+battery on a stack of series from one lag design and one Gram matrix, which
+serve both the MAIC search and the ADF fit; :func:`_battery_rows`, its one
+loop, calls it per chunk of series, and :func:`_stats` turns its rows into
+:class:`UnitRootStats`.  A row's bits do not depend on the rows sharing its
+call.  Series reach it through :mod:`robustts.bootstrap`.  The scalar formula
+references it is tested against live in ``tests/reference_unitroot.py``.
 
 No critical values are shipped: decisions are meant to come from the
 bootstrap p-values in :mod:`robustts.bootstrap`.
@@ -42,8 +42,8 @@ STAT_TAILS = {"LR": "right", "MZa": "left", "MSB": "left", "MZt": "left", "MPt":
 DEFAULT_C_BAR = -7.0
 LR_C_GRID = np.arange(0.0, 50.5, 0.5)
 MIN_BATTERY_LENGTH = 25
-# about the bytes of one chunk's MAIC design matrix, which bounds the
-# kernel's working memory; a row's bits do not depend on the chunking
+# about the bytes of one chunk's lag design, the one design both fits read
+# and so the kernel's working set; a row's bits do not depend on the chunking
 CHUNK_BYTES = 2_000_000
 
 
@@ -136,25 +136,34 @@ def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> n
 
     The lag-k fit solves the leading (k+1) x (k+1) block of the Gram matrix
     ``G`` of (level, lagged differences) against their cross-products ``g``
-    with the response, whose sum of squares is ``rr``.  With one Cholesky
-    factor ``G = L L'`` and ``w = L^-1 g``, every lag's fit is a prefix sum:
-    ``SSR_k = rr - sum_{i<=k} w_i^2`` and the level coefficient is
-    ``sum_{i<=k} (L^-1 e_0)_i w_i``.  Should the factor fail or an SSR come
-    out non-positive, the lags are fitted one solve at a time instead, which
-    raises the scalar reference's message with its lag.
+    with the response, whose sum of squares is ``rr``.  One Cholesky factor
+    of the bordered Gram, reordered as (lags, level, response), gives every
+    lag's fit without a solve: with ``L`` its lag block, its level and
+    response rows are ``p = L^-1 G_lag,level`` and ``q = L^-1 g_lag``, and
+    with prefix sums ``P_k, Q_k, R_k`` of ``p^2, q^2, p*q`` over the first k
+    lags the level coefficient is ``b0_k = (g0 - R_k) / (G00 - P_k)`` and
+    ``SSR_k = rr - Q_k - (g0 - R_k) * b0_k``.  Should the factor fail or an
+    SSR come out non-positive, the lags are fitted one solve at a time
+    instead, which raises the scalar reference's message with its lag.
     """
+    C, m = g.shape
     N = T - 1 - k_max
+    order = np.r_[1:m, 0]
+    B = np.empty((C, m + 1, m + 1))
+    B[:, :m, :m] = G[:, order][:, :, order]
+    B[:, :m, m] = B[:, m, :m] = g[:, order]
+    B[:, m, m] = rr
     try:
-        L = np.linalg.cholesky(G)
+        F = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
-        L = None
-    if L is not None:
-        e0 = np.zeros_like(g)
-        e0[:, 0] = 1.0
-        w = np.linalg.solve(L, np.stack((g, e0), axis=2))
-        ssr = rr[:, None] - np.cumsum(w[:, :, 0] ** 2, axis=1)
-        b0 = np.cumsum(w[:, :, 0] * w[:, :, 1], axis=1)
-    if L is None or not np.all(ssr > 0):
+        F = None
+    if F is not None:
+        p, q = F[:, k_max, :k_max], F[:, m, :k_max]
+        P, Q, R = np.pad(np.cumsum(np.stack((p * p, q * q, p * q)), axis=2), ((0, 0), (0, 0), (1, 0)))
+        r = g[:, :1] - R
+        b0 = r / (G[:, :1, 0] - P)
+        ssr = rr[:, None] - Q - r * b0
+    if F is None or not np.all(ssr > 0):
         ssr, b0 = np.empty_like(g), np.empty_like(g)
         for k in range(k_max + 1):
             b = _solve_normal(G[:, : k + 1, : k + 1], g[:, : k + 1, None])[:, :, 0]
@@ -167,8 +176,29 @@ def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> n
     return np.log(s2) + 2.0 * (tau + np.arange(k_max + 1)) / (T - k_max)
 
 
-# an overflow shows as a non-finite Gram entry, MAIC value or statistic, all checked
-@np.errstate(over="ignore", invalid="ignore")
+def _adf_gram(Z: np.ndarray, A: np.ndarray, V: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """The bordered Gram matrix of each row's ADF regression on the GLS-demeaned
+    ``V`` over ``s >= lag``, read off the OLS-demeaned design ``Z`` and its
+    Gram ``A`` over ``s >= k_max``: both fits share the differences, so the lag
+    rows are ``A`` plus the Gram of the head ``lag <= s < k_max``, the level row
+    is ``Z`` times ``V``'s level zeroed for ``s < lag``, and the corner is that
+    level's sum of squares.  Lags beyond ``lag`` get zero rows and columns.
+    """
+    k_max = Z.shape[1] - 2
+    head = Z[:, 1:, :k_max] * (np.arange(k_max) >= lag[:, None])[:, None, :]
+    level = V[:, :-1] * (np.arange(Z.shape[2]) >= lag[:, None])
+    out = A.copy()
+    out[:, 1:, 1:] += _gram(head)
+    out[:, 0, 1:] = out[:, 1:, 0] = (Z[:, 1:] @ level[:, :, None])[:, :, 0]
+    out[:, 0, 0] = _rowdot(level, level)
+    keep = np.arange(k_max + 2) <= lag[:, None]
+    keep[:, -1] = True
+    return np.where(keep[:, :, None] & keep[:, None, :], out, 0.0)
+
+
+# an overflow shows as a non-finite Gram entry, MAIC value or statistic, all
+# checked; a factor pivot lost to rounding gives a non-positive MAIC SSR
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     """The battery on every row of a C x T matrix of series.
 
@@ -176,10 +206,11 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     :meth:`UnitRootStats.as_dict`) plus ``lag`` and ``s2_ar``.  The formulas
     are those of ``select_lag_maic``, ``gls_demean``, ``_adf_fit``,
     ``mz_msb_mzt``, ``mp_test`` and ``lr_test`` in
-    ``tests/reference_unitroot.py``, evaluated with batched Gram matrices and
-    stacked solves, so a row agrees with them to rounding.  Every step works
-    row by row (no matrix-vector product spans rows), so a row's bits do not
-    depend on the other rows.  Their ``NumericalError`` checks and those of
+    ``tests/reference_unitroot.py``, evaluated on one lag design and its Gram
+    matrix, which serve the MAIC search (:func:`_maic`) and the ADF fit
+    (:func:`_adf_gram`), so a row agrees with them to rounding.  Every step
+    works row by row (no product spans rows), so a row's bits do not depend
+    on the other rows.  Their ``NumericalError`` checks and those of
     :class:`UnitRootStats` are kept: one failing on any row raises the same
     message.
     """
@@ -192,13 +223,13 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     # MAIC on the OLS-demeaned data over the common sample t > k_max+1: the
     # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix
     m = k_max + 1
-    A = _finite(_gram(_lag_design(U, k_max)[:, :, k_max:]))
+    Z = _lag_design(U, k_max)
+    A = _finite(_gram(Z[:, :, k_max:]))
     lag = np.argmin(_finite(_maic(A[:, :m, :m], A[:, :m, m], A[:, m, m], T, k_max)), axis=1)
 
     # GLS demeaning, then one stacked ADF fit with every row at its own lag:
-    # a row's observations before its sample are zeroed, and so are its lag
-    # variables beyond its own lag, whose Gram rows and columns are then zero;
-    # a unit diagonal there keeps the solve regular and gives zero
+    # a row's lag variables beyond its own lag have zero Gram rows and
+    # columns; a unit diagonal there keeps the solve regular and gives zero
     # coefficients, so the cost does not depend on the lags chosen
     rho = 1.0 + DEFAULT_C_BAR / T
     ya = np.empty_like(Y)
@@ -207,15 +238,10 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     za = np.full(T, 1.0 - rho)
     za[0] = 1.0
     V = Y - (_rowdot(ya, za[None, :]) / float(za @ za))[:, None]
-    Z = _lag_design(V, k_max)
-    before = np.arange(k_max) < lag[:, None]
-    Z[:, :, :k_max] *= ~before[:, None, :]
-    beyond = np.arange(m) > lag[:, None]
-    Z[:, :m][beyond] = 0.0
-    A = _finite(_gram(Z))
+    A = _finite(_adf_gram(Z, A, V, lag))
     G, g, rr = A[:, :m, :m], A[:, :m, m:], A[:, m, m]
     diag = np.arange(m)
-    G[:, diag, diag] += beyond
+    G[:, diag, diag] += diag > lag[:, None]
     e0 = np.zeros_like(g)
     e0[:, 0] = 1.0
     sol = _solve_normal(G, np.concatenate((g, e0), axis=2))
@@ -244,7 +270,7 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
 
     # LR profile in closed form: with h = c/T the AR(1) residual is D + h*L,
     # so no large sums are subtracted from each other
-    D, L = np.diff(U, axis=1), U[:, :-1]
+    D, L = Z[:, -1], Z[:, 0]
     s_dd, s_dl, s_ll = _rowdot(D, D), _rowdot(D, L), _rowdot(L, L)
     h = LR_C_GRID / T
     sig2 = (s_dd[:, None] + 2.0 * h * s_dl[:, None] + h**2 * s_ll[:, None]) / (T - 1)

@@ -6,6 +6,9 @@ One function per step of the battery on a single series: MAIC lag choice
 (:func:`mp_test`) and the LR profile (:func:`lr_test`).  The library runs
 only the batched kernel :func:`robustts.unitroot._battery_batch`; the tests
 hold each of its rows to these formulas and check their properties here.
+Two batched steps of the kernel have their own references: the per-lag MAIC
+loop (:func:`maic_per_lag`) and the ADF Gram built from a second design of
+the GLS-demeaned rows (:func:`adf_gram_two_designs`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustts.errors import NumericalError
-from robustts.unitroot import DEFAULT_C_BAR, LR_C_GRID, _solve_normal, _values
+from robustts.unitroot import DEFAULT_C_BAR, LR_C_GRID, _gram, _lag_design, _solve_normal, _values
 
 
 @dataclass(frozen=True)
@@ -200,3 +203,21 @@ def maic_per_lag(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: in
         tau = b[:, 0] ** 2 * G[:, 0, 0] / s2
         maic[:, k] = np.log(s2) + 2.0 * (tau + k) / (T - k_max)
     return maic
+
+
+def adf_gram_two_designs(V: np.ndarray, lag: np.ndarray, k_max: int) -> np.ndarray:
+    """The bordered Gram matrix of every row's ADF regression on the
+    GLS-demeaned rows ``V`` at its own ``lag``, from a design of ``V`` itself.
+
+    The arguments and result are those of :func:`robustts.unitroot._adf_gram`,
+    which reads the same matrix off the OLS-demeaned design instead.  Here a
+    row's observations before its sample are zeroed in the design, and so are
+    its lag variables beyond its own lag, before one full-sample Gram product.
+    """
+    m = k_max + 1
+    Z = _lag_design(V, k_max)
+    before = np.arange(k_max) < lag[:, None]
+    Z[:, :, :k_max] *= ~before[:, None, :]
+    beyond = np.arange(m) > lag[:, None]
+    Z[:, :m][beyond] = 0.0
+    return _gram(Z)

@@ -1,10 +1,10 @@
-from datetime import date
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
 from robustts.errors import DataError
-from robustts.ingest import ingest_counts, ingest_factors, ingest_prices, ingest_rates
+from robustts.ingest import _parse_date, ingest_counts, ingest_factors, ingest_prices, ingest_rates
 
 COUNTS_HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20"
 
@@ -147,3 +147,48 @@ class TestIngestFactors:
         panel = ingest_factors(data_dir / "factors.csv")
         assert set(panel.columns) == {"Mkt.RF", "SMB", "HML", "MOM", "RMW", "CMA", "RF"}
         assert len(panel.dates) == len(panel.columns["RF"])
+
+
+def strptime_or_error(text):
+    try:
+        return datetime.strptime(text.strip(), "%Y-%m-%d").date()
+    except ValueError:
+        return "rejected"
+
+
+def parse_or_error(text):
+    try:
+        return _parse_date(text, "%Y-%m-%d", "f.csv", 2, "Date")
+    except DataError as exc:
+        assert str(exc) == f"file f.csv, line 2, field 'Date': unparseable date {text!r}"
+        return "rejected"
+
+
+class TestIsoDates:
+    # _parse_date takes the exact YYYY-MM-DD shape through date.fromisoformat
+    # and every other string through strptime; the accepted set is strptime's
+    @pytest.mark.parametrize("text, expected", [
+        ("20200101", "rejected"),  # fromisoformat takes these two
+        ("2020-W01-1", "rejected"),
+        ("2020-1-5", date(2020, 1, 5)),  # fromisoformat rejects these two
+        ("\uff12\uff10\uff12\uff10-01-05", date(2020, 1, 5)),  # fullwidth digits
+        ("2020-02-30", "rejected"),
+        ("0000-01-01", "rejected"),
+        (" 2020-02-29 ", date(2020, 2, 29)),
+    ])
+    def test_matches_strptime(self, text, expected):
+        assert strptime_or_error(text) == expected
+        assert parse_or_error(text) == expected
+
+    def test_every_day_from_1900_to_2100(self):
+        day, last = date(1900, 1, 1), date(2100, 12, 31)
+        while day <= last:
+            assert _parse_date(day.isoformat(), "%Y-%m-%d", "f.csv", 2, "Date") == day
+            day += timedelta(days=1)
+
+    def test_edge_grid_matches_strptime(self):
+        for y in ("0001", "1899", "1900", "2000", "2020", "2100", "9999"):
+            for m in ("00", "01", "02", "12", "13"):
+                for d in ("00", "01", "28", "29", "30", "31", "32"):
+                    text = f"{y}-{m}-{d}"
+                    assert parse_or_error(text) == strptime_or_error(text), text

@@ -11,6 +11,7 @@ from robustts.unitroot import UnitRootStats, _battery_batch, default_k_max
 from reference_unitroot import (
     _adf_fit,
     adf_gls,
+    adf_gram_two_designs,
     gls_demean,
     lr_test,
     maic_per_lag,
@@ -322,6 +323,28 @@ class TestBatteryKernel:
             _battery_batch(Y)
 
 
+class TestAdfGram:
+    @pytest.mark.parametrize("T", [25, 150, 1000])
+    def test_matches_two_designs_at_every_lag(self, T):
+        Y = dgp_stack(T, per_dgp=8)
+        k_max = default_k_max(T)
+        Z = unitroot._lag_design(Y - Y.mean(axis=1, keepdims=True), k_max)
+        A = unitroot._gram(Z[:, :, k_max:])
+        V = np.array([gls_demean(y) for y in Y])
+        # every lag for all rows, from l = 0 (the whole head) to l = k_max
+        # (an empty head), then a mix of lags across rows
+        lags = [np.full(len(Y), l) for l in range(k_max + 1)]
+        lags.append(np.random.default_rng(T).integers(0, k_max + 1, len(Y)))
+        for lag in lags:
+            got, want = unitroot._adf_gram(Z, A, V, lag), adf_gram_two_designs(V, lag, k_max)
+            assert np.array_equal(got == 0.0, want == 0.0), (T, lag[0])
+            # the two sum in another order, and a cross-product can cancel far
+            # below its terms, so 1e-12 relative to sqrt(G_ii * G_jj)
+            scale = np.sqrt(np.einsum("cii->ci", want))
+            bound = 1e-12 * scale[:, :, None] * scale[:, None, :]
+            assert np.all(np.abs(got - want) <= bound), (T, lag[0])
+
+
 def bits(out):
     """A kernel result's arrays as raw bytes, for bit-for-bit comparison."""
     return {name: np.ascontiguousarray(col).tobytes() for name, col in out.items()}
@@ -381,6 +404,10 @@ def cholesky_fails(*args, **kwargs):
     raise np.linalg.LinAlgError("Matrix is not positive definite")
 
 
+def solve_fails(*args, **kwargs):
+    raise AssertionError("np.linalg.solve called")
+
+
 class TestMaicFactor:
     @pytest.mark.parametrize("T", [25, 150, 1000])
     def test_matches_per_lag_loop(self, monkeypatch, T):
@@ -388,6 +415,16 @@ class TestMaicFactor:
         factor, loop = unitroot._maic(*args), maic_per_lag(*args)
         assert np.array_equal(np.argmin(factor, axis=1), np.argmin(loop, axis=1))
         # MAIC crosses zero, so relative to max(|value|, 1) as TOL
+        assert np.all(np.abs(factor - loop) <= 1e-12 * np.maximum(np.abs(loop), 1.0))
+
+    @pytest.mark.parametrize("T", [25, 150, 1000])
+    def test_factor_fits_every_lag_without_a_solve(self, monkeypatch, T):
+        # the fallback loop solves, so this fails should the factor be
+        # skipped or its SSRs come out non-positive
+        args = maic_arguments(monkeypatch, dgp_stack(T))
+        loop = maic_per_lag(*args)
+        monkeypatch.setattr(np.linalg, "solve", solve_fails)
+        factor = unitroot._maic(*args)
         assert np.all(np.abs(factor - loop) <= 1e-12 * np.maximum(np.abs(loop), 1.0))
 
     @pytest.mark.parametrize("T", [25, 150, 1000])
