@@ -9,9 +9,10 @@ OLS-demeaned data; the statistics themselves use GLS-demeaned data with that
 shared lag.
 
 This module is the kernel alone: :func:`_battery_batch` evaluates the
-battery on a stack of series from one lag design and one Gram matrix, which
-serve both the MAIC search and the ADF fit; :func:`_battery_rows`, its one
-loop, calls it per chunk of series, and :func:`_stats` turns its rows into
+battery on a stack of series from one Gram matrix, summed over fixed blocks
+of a lag design that carries both demeaned levels, which serves both the MAIC
+search and the ADF fit; :func:`_battery_rows`, its one loop, calls it per
+chunk of series, and :func:`_stats` turns its rows into
 :class:`UnitRootStats`.  A row's bits do not depend on the rows sharing its
 call.  Series reach it through :mod:`robustts.bootstrap`.  The scalar formula
 references it is tested against live in ``tests/reference_unitroot.py``.
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericalError
 from .series import Series
@@ -42,9 +42,12 @@ STAT_TAILS = {"LR": "right", "MZa": "left", "MSB": "left", "MZt": "left", "MPt":
 DEFAULT_C_BAR = -7.0
 LR_C_GRID = np.arange(0.0, 50.5, 0.5)
 MIN_BATTERY_LENGTH = 25
-# about the bytes of one chunk's lag design, the one design both fits read
-# and so the kernel's working set; a row's bits do not depend on the chunking
-CHUNK_BYTES = 2_000_000
+# the bytes a chunk of series may hold: per series, one lag-design block of
+# _BLOCK observations and eight series-length arrays (levels, differences,
+# temporaries); block edges depend only on T, so a row's bits do not depend
+# on the chunking
+CHUNK_BYTES = 3_000_000
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -99,23 +102,24 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=1)
 
 
-def _lag_design(U: np.ndarray, k: int) -> np.ndarray:
-    """The lag-``k`` ADF regression (``_adf_design`` in
-    ``tests/reference_unitroot.py``) at every observation of every row of
-    ``U``, as a C x (k+2) x (T-1) stack: the level, the differences lagged
-    1..k, then the response (the difference).
+def _lag_design(U: np.ndarray, V: np.ndarray, P: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Observations ``lo..hi-1`` of the lag-``k`` ADF regression
+    (``_adf_design`` in ``tests/reference_unitroot.py``) for every row, as a
+    C x (k+3) x (hi-lo) stack: the OLS-demeaned level ``U``, the differences
+    lagged 1..k, the response (the difference), then the GLS-demeaned level
+    ``V``, whose differences are the same.  ``P`` is the differences after
+    ``k`` zeros, so lagged differences from before a series starts are zeros.
 
-    Lagged differences from before a series starts are zeros.  Variables are
-    rows, so the batched products run on contiguous memory.
+    Variables are rows, so the batched products run on contiguous memory.
     """
     C, T = U.shape
-    D = np.diff(U, axis=1)
-    padded = np.concatenate((np.zeros((C, k)), D), axis=1)
-    lagged = sliding_window_view(padded, T - 1, axis=1)  # lags k, k-1, ..., 0
-    Z = np.empty((C, k + 2, T - 1))
-    Z[:, 0] = U[:, :-1]
-    Z[:, 1 : k + 1] = lagged[:, :k][:, ::-1]
-    Z[:, k + 1] = D
+    k = P.shape[1] - (T - 1)
+    Z = np.empty((C, k + 3, hi - lo))
+    Z[:, 0] = U[:, lo:hi]
+    for j in range(1, k + 1):
+        Z[:, j] = P[:, lo + k - j : hi + k - j]
+    Z[:, k + 1] = P[:, lo + k : hi + k]
+    Z[:, k + 2] = V[:, lo:hi]
     return Z
 
 
@@ -126,8 +130,8 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 
 def _gram(Z: np.ndarray) -> np.ndarray:
-    """``Z Z'`` for every row: the regressors' Gram matrix bordered by their
-    cross-products with the response and its sum of squares."""
+    """``Z Z'`` for every row: the cross-products of every pair of design
+    variables, regressors and response alike."""
     return Z @ Z.transpose(0, 2, 1)
 
 
@@ -176,21 +180,18 @@ def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> n
     return np.log(s2) + 2.0 * (tau + np.arange(k_max + 1)) / (T - k_max)
 
 
-def _adf_gram(Z: np.ndarray, A: np.ndarray, V: np.ndarray, lag: np.ndarray) -> np.ndarray:
+def _adf_gram(A: np.ndarray, head: np.ndarray, lag: np.ndarray) -> np.ndarray:
     """The bordered Gram matrix of each row's ADF regression on the GLS-demeaned
-    ``V`` over ``s >= lag``, read off the OLS-demeaned design ``Z`` and its
-    Gram ``A`` over ``s >= k_max``: both fits share the differences, so the lag
-    rows are ``A`` plus the Gram of the head ``lag <= s < k_max``, the level row
-    is ``Z`` times ``V``'s level zeroed for ``s < lag``, and the corner is that
-    level's sum of squares.  Lags beyond ``lag`` get zero rows and columns.
+    level over ``s >= lag``, in the order (level, lags, response): the
+    (GLS level, lags, response) block of the Gram ``A`` of the lag design over
+    ``s >= k_max``, plus the Gram of the same rows of the design's ``head``
+    observations ``s < k_max``, zeroed for ``s < lag``.  Lags beyond ``lag``
+    get zero rows and columns.
     """
-    k_max = Z.shape[1] - 2
-    head = Z[:, 1:, :k_max] * (np.arange(k_max) >= lag[:, None])[:, None, :]
-    level = V[:, :-1] * (np.arange(Z.shape[2]) >= lag[:, None])
-    out = A.copy()
-    out[:, 1:, 1:] += _gram(head)
-    out[:, 0, 1:] = out[:, 1:, 0] = (Z[:, 1:] @ level[:, :, None])[:, :, 0]
-    out[:, 0, 0] = _rowdot(level, level)
+    k_max = head.shape[2]
+    rows = np.r_[k_max + 2, 1 : k_max + 2]
+    head = head[:, rows] * (np.arange(k_max) >= lag[:, None])[:, None, :]
+    out = A[:, rows][:, :, rows] + _gram(head)
     keep = np.arange(k_max + 2) <= lag[:, None]
     keep[:, -1] = True
     return np.where(keep[:, :, None] & keep[:, None, :], out, 0.0)
@@ -206,9 +207,10 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     :meth:`UnitRootStats.as_dict`) plus ``lag`` and ``s2_ar``.  The formulas
     are those of ``select_lag_maic``, ``gls_demean``, ``_adf_fit``,
     ``mz_msb_mzt``, ``mp_test`` and ``lr_test`` in
-    ``tests/reference_unitroot.py``, evaluated on one lag design and its Gram
-    matrix, which serve the MAIC search (:func:`_maic`) and the ADF fit
-    (:func:`_adf_gram`), so a row agrees with them to rounding.  Every step
+    ``tests/reference_unitroot.py``, evaluated on one Gram matrix of a lag
+    design carrying both demeaned levels (:func:`_lag_design`), which serves
+    the MAIC search (:func:`_maic`) and the ADF fit (:func:`_adf_gram`), so a
+    row agrees with them to rounding.  No whole design is held.  Every step
     works row by row (no product spans rows), so a row's bits do not depend
     on the other rows.  Their ``NumericalError`` checks and those of
     :class:`UnitRootStats` are kept: one failing on any row raises the same
@@ -219,26 +221,31 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
         raise DataError(f"battery needs at least {MIN_BATTERY_LENGTH} observations, got {T}")
     k_max = default_k_max(T)
     U = Y - Y.mean(axis=1, keepdims=True)
-
-    # MAIC on the OLS-demeaned data over the common sample t > k_max+1: the
-    # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix
-    m = k_max + 1
-    Z = _lag_design(U, k_max)
-    A = _finite(_gram(Z[:, :, k_max:]))
-    lag = np.argmin(_finite(_maic(A[:, :m, :m], A[:, :m, m], A[:, m, m], T, k_max)), axis=1)
-
-    # GLS demeaning, then one stacked ADF fit with every row at its own lag:
-    # a row's lag variables beyond its own lag have zero Gram rows and
-    # columns; a unit diagonal there keeps the solve regular and gives zero
-    # coefficients, so the cost does not depend on the lags chosen
+    # GLS demeaning, which no lag enters; V holds the quasi-differences first
     rho = 1.0 + DEFAULT_C_BAR / T
-    ya = np.empty_like(Y)
-    ya[:, 0] = Y[:, 0]
-    ya[:, 1:] = Y[:, 1:] - rho * Y[:, :-1]
+    V = np.empty_like(Y)
+    V[:, 0] = Y[:, 0]
+    V[:, 1:] = Y[:, 1:] - rho * Y[:, :-1]
     za = np.full(T, 1.0 - rho)
     za[0] = 1.0
-    V = Y - (_rowdot(ya, za[None, :]) / float(za @ za))[:, None]
-    A = _finite(_adf_gram(Z, A, V, lag))
+    np.subtract(Y, (_rowdot(V, za[None, :]) / float(za @ za))[:, None], out=V)
+    # the differences after k_max zeros, the lags' one source
+    P = np.zeros((C, k_max + T - 1))
+    D = np.subtract(U[:, 1:], U[:, :-1], out=P[:, k_max:])
+
+    # MAIC on the OLS-demeaned data over the common sample t > k_max+1: the
+    # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix,
+    # summed over blocks of observations whose edges depend only on T
+    m = k_max + 1
+    A = sum(_gram(_lag_design(U, V, P, lo, min(lo + _BLOCK, T - 1))) for lo in range(k_max, T - 1, _BLOCK))
+    M = _finite(A[:, : m + 1, : m + 1])
+    lag = np.argmin(_finite(_maic(M[:, :m, :m], M[:, :m, m], M[:, m, m], T, k_max)), axis=1)
+
+    # one stacked ADF fit with every row at its own lag: a row's lag
+    # variables beyond its own lag have zero Gram rows and columns; a unit
+    # diagonal there keeps the solve regular and gives zero coefficients, so
+    # the cost does not depend on the lags chosen
+    A = _finite(_adf_gram(A, _lag_design(U, V, P, 0, k_max), lag))
     G, g, rr = A[:, :m, :m], A[:, :m, m:], A[:, m, m]
     diag = np.arange(m)
     G[:, diag, diag] += diag > lag[:, None]
@@ -270,7 +277,7 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
 
     # LR profile in closed form: with h = c/T the AR(1) residual is D + h*L,
     # so no large sums are subtracted from each other
-    D, L = Z[:, -1], Z[:, 0]
+    L = U[:, :-1]
     s_dd, s_dl, s_ll = _rowdot(D, D), _rowdot(D, L), _rowdot(L, L)
     h = LR_C_GRID / T
     sig2 = (s_dd[:, None] + 2.0 * h * s_dl[:, None] + h**2 * s_ll[:, None]) / (T - 1)
@@ -298,7 +305,7 @@ def _battery_rows(n: int, T: int, stack) -> dict[str, np.ndarray]:
     fail in the kernel.
     """
     T = max(T, MIN_BATTERY_LENGTH)
-    size = max(1, CHUNK_BYTES // (T * (default_k_max(T) + 2) * 8))
+    size = max(1, CHUNK_BYTES // (8 * ((default_k_max(T) + 3) * min(_BLOCK, T - 1) + 8 * T)))
     chunks = [_battery_batch(stack(lo, min(lo + size, n))) for lo in range(0, n, size)]
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 

@@ -8,7 +8,8 @@ only the batched kernel :func:`robustts.unitroot._battery_batch`; the tests
 hold each of its rows to these formulas and check their properties here.
 Two batched steps of the kernel have their own references: the per-lag MAIC
 loop (:func:`maic_per_lag`) and the ADF Gram built from a second design of
-the GLS-demeaned rows (:func:`adf_gram_two_designs`).
+the GLS-demeaned rows (:func:`adf_gram_two_designs`).  :func:`row_bytes` is
+the chunk rule's count of the bytes a series holds in the kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustts.errors import NumericalError
-from robustts.unitroot import DEFAULT_C_BAR, LR_C_GRID, _gram, _lag_design, _solve_normal, _values
+from robustts.unitroot import DEFAULT_C_BAR, LR_C_GRID, _gram, _solve_normal, _values, default_k_max
 
 
 @dataclass(frozen=True)
@@ -209,15 +210,30 @@ def adf_gram_two_designs(V: np.ndarray, lag: np.ndarray, k_max: int) -> np.ndarr
     """The bordered Gram matrix of every row's ADF regression on the
     GLS-demeaned rows ``V`` at its own ``lag``, from a design of ``V`` itself.
 
-    The arguments and result are those of :func:`robustts.unitroot._adf_gram`,
-    which reads the same matrix off the OLS-demeaned design instead.  Here a
-    row's observations before its sample are zeroed in the design, and so are
-    its lag variables beyond its own lag, before one full-sample Gram product.
+    The result is that of :func:`robustts.unitroot._adf_gram`, which reads the
+    same matrix off the blocked Gram of the kernel's lag design instead.  Here
+    a design (level, lags 1..k_max, response) of ``V`` alone is built over
+    every observation, a row's observations before its sample are zeroed, and
+    so are its lag variables beyond its own lag, before one full-sample Gram
+    product.
     """
+    C, T = V.shape
     m = k_max + 1
-    Z = _lag_design(V, k_max)
+    D = np.diff(V, axis=1)
+    Z = np.zeros((C, k_max + 2, T - 1))
+    Z[:, 0] = V[:, :-1]
+    for j in range(1, m):
+        Z[:, j, j:] = D[:, :-j]
+    Z[:, m] = D
     before = np.arange(k_max) < lag[:, None]
     Z[:, :, :k_max] *= ~before[:, None, :]
     beyond = np.arange(m) > lag[:, None]
     Z[:, :m][beyond] = 0.0
     return _gram(Z)
+
+
+def row_bytes(T: int) -> int:
+    """The bytes the kernel holds per series of length ``T``: one lag-design
+    block of (k_max + 3) rows by at most 256 observations, plus eight
+    series-length arrays."""
+    return 8 * ((default_k_max(T) + 3) * min(256, T - 1) + 8 * T)

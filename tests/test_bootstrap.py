@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from robustts.series import difference, positive_window
 from robustts.unitroot import _values
 
 from reference_bootstrap import resample_chunk as reference_chunk
+from reference_unitroot import row_bytes
 
 
 class TestFitSieve:
@@ -271,7 +274,8 @@ class TestResampleChunk:
             d[t] = 0.6 * d[t - 1] + e[t]
         rep = unit_root_report(np.cumsum(d), B=999, seed=0)
         assert rep.stats.lag > 0
-        assert len(chunks) == 100 and sum(chunks) == 999
+        size = unitroot.CHUNK_BYTES // row_bytes(builds[0][1])  # replicates of 999 - lag observations
+        assert chunks == [size] * (999 // size) + [999 % size] * (999 % size > 0)
         assert len(builds) == 1
 
 
@@ -375,13 +379,30 @@ def replicate_stats(monkeypatch, y, B, seed):
 
 
 class TestChunking:
-    @pytest.mark.parametrize("T", [60, 150, 400])
+    @pytest.mark.parametrize("T", [60, 150, 400, 1000])
     def test_chunk_size_changes_no_bit(self, monkeypatch, T):
         y = np.cumsum(np.random.default_rng(T).standard_t(3, T))
         base = replicate_stats(monkeypatch, y, 199, (4, T))
         for size in (250_000, 8_000_000):
             monkeypatch.setattr(unitroot, "CHUNK_BYTES", size)
             assert replicate_stats(monkeypatch, y, 199, (4, T)) == base, size
+
+    @pytest.mark.parametrize("T", [150, 1000])
+    def test_peak_memory_within_chunk_bytes(self, T):
+        # every allocation of the chunk loop over 999 replicates, the
+        # resampler's and the kernel's, traced from an empty start
+        y = np.cumsum(np.random.default_rng(T).standard_t(3, T))
+        model = fit_sieve(np.diff(y), unit_root_report(y, B=0).stats.lag)
+        n = len(model.residuals)
+        tracemalloc.start()
+        try:
+            unitroot._battery_rows(
+                999, n, lambda lo, hi: bt._resample_chunk(model, [(0, r) for r in range(lo + 1, hi + 1)])
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= unitroot.CHUNK_BYTES, peak
 
 
 def walks(lengths, seed=8):
@@ -390,8 +411,8 @@ def walks(lengths, seed=8):
 
 
 class TestReports:
-    # 25 series of length 1000 span three kernel chunks
-    LENGTHS = [150, 60, 150, 1000, 60] + [1000] * 24
+    # 53 series of length 1000 span three kernel chunks of 26
+    LENGTHS = [150, 60, 150, 1000, 60] + [1000] * 52
 
     def test_b_zero_equals_one_series_at_a_time(self):
         ys = walks(self.LENGTHS)

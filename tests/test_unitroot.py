@@ -17,6 +17,7 @@ from reference_unitroot import (
     maic_per_lag,
     mp_test,
     mz_msb_mzt,
+    row_bytes,
     select_lag_maic,
 )
 
@@ -274,8 +275,13 @@ def reference_battery(v):
 TOL = {"rel": 1e-12, "abs": 1e-12}
 
 
+# lengths whose Gram body (observations k_max..T-2) spans 255, 256 and 257
+# observations: one block less one, one block, and one block plus one
+BLOCK_EDGES = [271, 272, 273]
+
+
 class TestBatteryKernel:
-    @pytest.mark.parametrize("T", [25, 150, 1000])
+    @pytest.mark.parametrize("T", [25, 150, *BLOCK_EDGES, 1000])
     def test_matches_scalar_references(self, T):
         Y = dgp_stack(T)
         out = _battery_batch(Y)
@@ -323,20 +329,30 @@ class TestBatteryKernel:
             _battery_batch(Y)
 
 
+def adf_gram_arguments(monkeypatch, Y):
+    """The blocked design Gram and the design's head columns that the kernel
+    passes to ``_adf_gram`` on ``Y``."""
+    seen, real = [], unitroot._adf_gram
+    monkeypatch.setattr(unitroot, "_adf_gram", lambda *args: seen.append(args) or real(*args))
+    _battery_batch(Y)
+    monkeypatch.undo()
+    return seen[0][:2]
+
+
 class TestAdfGram:
-    @pytest.mark.parametrize("T", [25, 150, 1000])
-    def test_matches_two_designs_at_every_lag(self, T):
+    @pytest.mark.parametrize("T", [25, 150, *BLOCK_EDGES, 1000])
+    def test_matches_two_designs_at_every_lag(self, monkeypatch, T):
         Y = dgp_stack(T, per_dgp=8)
         k_max = default_k_max(T)
-        Z = unitroot._lag_design(Y - Y.mean(axis=1, keepdims=True), k_max)
-        A = unitroot._gram(Z[:, :, k_max:])
+        A, head = adf_gram_arguments(monkeypatch, Y)
+        assert A.shape[1:] == (k_max + 3, k_max + 3) and head.shape[1:] == (k_max + 3, k_max)
         V = np.array([gls_demean(y) for y in Y])
         # every lag for all rows, from l = 0 (the whole head) to l = k_max
         # (an empty head), then a mix of lags across rows
         lags = [np.full(len(Y), l) for l in range(k_max + 1)]
         lags.append(np.random.default_rng(T).integers(0, k_max + 1, len(Y)))
         for lag in lags:
-            got, want = unitroot._adf_gram(Z, A, V, lag), adf_gram_two_designs(V, lag, k_max)
+            got, want = unitroot._adf_gram(A, head, lag), adf_gram_two_designs(V, lag, k_max)
             assert np.array_equal(got == 0.0, want == 0.0), (T, lag[0])
             # the two sum in another order, and a cross-product can cancel far
             # below its terms, so 1e-12 relative to sqrt(G_ii * G_jj)
@@ -355,7 +371,7 @@ def concat(outs):
 
 
 class TestBatchInvariance:
-    @pytest.mark.parametrize("T", [30, 60, 150, 999])
+    @pytest.mark.parametrize("T", [30, 60, 150, *BLOCK_EDGES, 999, 1000])
     def test_random_chunks_match_rows_alone(self, T):
         Y = dgp_stack(T, per_dgp=8)
         alone = concat([_battery_batch(Y[i : i + 1]) for i in range(len(Y))])
@@ -367,13 +383,12 @@ class TestBatchInvariance:
 
 
 class TestBatteryRows:
-    # a T=150 row's design is 150 * (13 + 2) * 8 = 18,000 bytes: chunks of
-    # 1 (budget below one row), 1, 2, 5 and all 37 rows
-    @pytest.mark.parametrize("chunk_bytes", [1, 18_000, 40_000, 100_000, unitroot.CHUNK_BYTES])
+    # a T=150 row holds (16 * 149 + 8 * 150) * 8 = 28,672 bytes: chunks of
+    # 1 (budgets below one row), 1, 3 and all 37 rows
+    @pytest.mark.parametrize("chunk_bytes", [1, 18_000, 40_000, 100_000, 2_000_000, unitroot.CHUNK_BYTES])
     def test_stack_ranges_cover_every_series_once(self, monkeypatch, rng, chunk_bytes):
         T, n = 150, 37
         Y = np.cumsum(rng.standard_normal((n, T)), axis=1)
-        row_bytes = T * (default_k_max(T) + 2) * 8
         ranges = []
 
         def stack(lo, hi):
@@ -384,9 +399,9 @@ class TestBatteryRows:
         out = unitroot._battery_rows(n, T, stack)
         assert ranges[0][0] == 0 and ranges[-1][1] == n
         assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
-        assert all(hi - lo == 1 or (hi - lo) * row_bytes <= chunk_bytes for lo, hi in ranges)
+        assert all(hi - lo == 1 or (hi - lo) * row_bytes(T) <= chunk_bytes for lo, hi in ranges)
         assert all(hi > lo for lo, hi in ranges)
-        if chunk_bytes < 2 * row_bytes:
+        if chunk_bytes < 2 * row_bytes(T):
             assert len(ranges) == n
         assert bits(out) == bits(_battery_batch(Y))
 
