@@ -14,9 +14,9 @@ observed series by length.  Replicates are resampled in chunks by
 the one chunk loop over the battery kernel, which serves the observed series
 too.  Both work row by row, so no bit of a report depends on how the series
 or the replicates are split into chunks.  Replication ``r`` draws its
-multipliers from a seed derived only from the base seed and ``r``, with the
-bits of ``SeedSequence`` and ``PCG64`` but one vectorised pass per chunk, so
-results never depend on evaluation order either.
+multipliers from ``SeedSequence(seed + (r,))``, so results never depend on
+evaluation order either: a chunk hashes the shared seed prefix and its ``r``
+in one vectorised pass, and numpy seeds each row's ``PCG64`` from the words.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class UnitRootReport:
         return self.result.p_values
 
 
-# numpy's SeedSequence hash constants (pool size 4, xorshift 16) and PCG64 multiplier
-_MASK32, _MASK128, _PCG_MULT = 2**32 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+# numpy's SeedSequence hash constants: pool size 4, xorshift 16
+_MASK32 = 2**32 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 
@@ -118,53 +118,56 @@ def _hash(v: np.ndarray, h: np.ndarray, h_next: np.ndarray) -> np.ndarray:
     return v ^ (v >> _SHIFT)
 
 
-def _state_words(words: list[list[int]]) -> list[list[int]]:
-    """``SeedSequence(w).generate_state(4, np.uint64)`` of each list ``w`` of uint32 words, as
-    four lists of ints: numpy's hash, one lane per ``w``, in step since the hash constants do
-    not depend on the data; a lane's pool stops mixing in words when its own run out."""
-    k = np.maximum([len(w) for w in words], 4)
-    width = int(k.max(initial=4))
-    entropy = np.array([w + [0] * (width - len(w)) for w in words], np.uint32).reshape(len(words), width).T
+def _rademacher_rows(prefix: tuple[int, ...], rs, n: int) -> np.ndarray:
+    """``rademacher(prefix + (r,), n)`` as one row for each ``r < 2**32`` of ``rs``, or
+    ``rademacher(prefix, n)`` as the one row when ``rs`` is None.  The entropy is a W x C
+    uint32 array, the prefix's words split once above the row of ``r``: every lane has W
+    words, so numpy's ``SeedSequence`` hash runs on all lanes in step, and numpy seeds each
+    row's ``PCG64`` from the row's four hashed words."""
+    from numpy.random import PCG64, bit_generator
+
+    class Hashed(bit_generator.ISeedSequence):  # what PCG64 reads from a seed: its four state words
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    words = [p >> s & _MASK32 for p in prefix for s in range(0, max(p.bit_length(), 1), 32)]
+    width = max(len(words) + (rs is not None), 4)  # numpy zero-pads the entropy to its pool of four
+    entropy = np.zeros((width, 1 if rs is None else len(rs)), np.uint32)
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    if rs is not None:
+        entropy[len(words)] = rs
     # the j-th hash step uses constants INIT * MULT**j and INIT * MULT**(j + 1), mod 2**32
     a = np.cumprod(np.array([_INIT_A] + [_MULT_A] * 4 * width, np.uint32), dtype=np.uint32)
     pool = list(_hash(entropy[:4], a[:4, None], a[1:5, None]))
     for j, (s, d) in enumerate(((s, d) for s in range(width) for d in range(4) if s != d), start=4):
         r = _MIX_L * pool[d] - _MIX_R * _hash(pool[s] if s < 4 else entropy[s], a[j], a[j + 1])
-        pool[d] = np.where(s < k, r ^ (r >> _SHIFT), pool[d])
+        pool[d] = r ^ (r >> _SHIFT)
     b = np.cumprod(np.array([_INIT_B] + [_MULT_B] * 8, np.uint32), dtype=np.uint32)
     state = _hash(np.array(pool * 2), b[:8, None], b[1:, None]).astype(np.uint64)
-    return (state[0::2] | state[1::2] << np.uint64(32)).tolist()  # low half first, as '<u4' -> '<u8'
-
-
-def _rademacher_rows(seeds, n: int) -> np.ndarray:
-    """``rademacher(seeds[i], n)`` as row ``i``, for checked int or tuple seeds: one vectorised
-    ``SeedSequence`` hash for all rows, then each row's PCG64 state, seeded in 128-bit ints as
-    numpy seeds it, set on one ``PCG64`` for its ``random_raw`` words, none built per row."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    parts = [(x,) if isinstance(x, int) else x for x in seeds]
-    words = [[p >> s & _MASK32 for p in x for s in range(0, max(p.bit_length(), 1), 32)] for x in parts]
-    block = np.empty((len(words), (n + 1) // 2), dtype="<u8")
-    bitgen = np.random.PCG64(0)
-    fresh = bitgen.state  # no buffered 32-bit half, as after seeding
-    for row, w0, w1, w2, w3 in zip(block, *_state_words(words)):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {**fresh, "state": {"state": state, "inc": inc}}
-        row[:] = bitgen.random_raw(len(row))
+    # low half first, as numpy's '<u4' -> '<u8'; C-contiguous rows, as PCG64 reads their buffers
+    keys = (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+    block = np.empty((len(keys), (n + 1) // 2), dtype="<u8")
+    for row, key in zip(block, keys):
+        row[:] = PCG64(Hashed(key)).random_raw(len(row))
     # little-endian words viewed as 32-bit values put each low half first
     return (block.view("<u4")[:, :n] >> 31) * 2.0 - 1.0
 
 
 def rademacher(seed, n: int) -> np.ndarray:
-    """Deterministic vector of equiprobable +-1 multipliers: one row of :func:`_rademacher_rows`.
+    """Deterministic vector of equiprobable +-1 multipliers: the one-column case of
+    :func:`_rademacher_rows`, whose hash of the seed's words numpy seeds ``PCG64`` from.
 
     The signs are the top bits of the 32-bit halves, low half first, of
     ``PCG64(SeedSequence(seed)).random_raw((n + 1) // 2)``.  That is bit for
     bit ``default_rng(SeedSequence(seed)).integers(0, 2, size=n) * 2.0 - 1.0``
     (Lemire's method never rejects at range 2 and returns the top bit of each
     32-bit draw), and NEP 19 keeps both streams stable."""
-    return _rademacher_rows([_seed_tuple(seed)], n)[0]
+    return _rademacher_rows(_seed_tuple(seed), None, n)[0]
 
 
 def fit_sieve(dy, p: int) -> SieveModel:
@@ -231,11 +234,11 @@ def _recolour_kernel(phi: tuple[float, ...], n: int) -> tuple[int, np.ndarray]:
     return L, np.fft.rfft(np.cumsum(h[p:]), L)
 
 
-def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
-    """One bootstrap series per seed, stacked as rows.
+def _resample_chunk(model: SieveModel, prefix: tuple[int, ...], rs) -> np.ndarray:
+    """One bootstrap series per replicate number ``r`` of ``rs``, stacked as rows.
 
-    ``eps*_t = w_t * e_t`` with Rademacher ``w`` drawn from the row's seed, all
-    rows by one :func:`_rademacher_rows` pass; the differences follow
+    ``eps*_t = w_t * e_t`` with Rademacher ``w`` drawn from the seed
+    ``prefix + (r,)``, all rows by one :func:`_rademacher_rows` pass; the differences follow
     ``d*_t = sum_j phi_j d*_{t-j} + eps*_t`` from zero pre-sample values, and
     the level series is their cumulative sum (unit root imposed).  For
     ``p > 0`` that is one FFT convolution ``eps* ⊛ c`` with the cumulated
@@ -244,9 +247,9 @@ def _resample_chunk(model: SieveModel, seeds) -> np.ndarray:
     accuracy in its early values.
 
     Rows are transformed independently, so a row's bits do not depend on the
-    other seeds in its chunk, nor on the chunk's size.
+    other replicates in its chunk, nor on the chunk's size.
     """
-    eps = _rademacher_rows(seeds, len(model.residuals)) * model.residuals
+    eps = _rademacher_rows(prefix, rs, len(model.residuals)) * model.residuals
     if model.p == 0:
         return np.cumsum(eps, axis=1)
     L, kernel = model._kernel
@@ -271,9 +274,7 @@ def _report(v: np.ndarray, stats: UnitRootStats, B: int, seed_parts: tuple[int, 
     n = len(model.residuals)
     if n < MIN_BATTERY_LENGTH:
         raise DataError(f"bootstrap series would have {n} observations; need at least {MIN_BATTERY_LENGTH}")
-    reps = _battery_rows(
-        B, n, lambda lo, hi: _resample_chunk(model, [seed_parts + (r,) for r in range(lo + 1, hi + 1)])
-    )
+    reps = _battery_rows(B, n, lambda lo, hi: _resample_chunk(model, seed_parts, range(lo + 1, hi + 1)))
     observed = stats.as_dict()
     p_values = {name: _pvalue(observed[name], reps[name], tail, B) for name, tail in STAT_TAILS.items()}
     return UnitRootReport(stats, BootstrapResult(p_values=p_values, B=B, seed=seed_parts))

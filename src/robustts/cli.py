@@ -166,19 +166,19 @@ def _emit(args: argparse.Namespace, payload: bytes, inputs: dict[str, Path]) -> 
     _write_manifest(args.out.with_name(args.out.name + ".manifest"), args, inputs)
 
 
-def _select_countries(counts: dict[str, Series], wanted: list[str]) -> list[str]:
-    if not wanted:
-        return list(counts)
-    missing = [c for c in wanted if c not in counts]
+def _selection(have, wanted: list[str], what: str) -> list[str]:
+    """The values of ``have``, in order, that ``wanted`` names (all of them when it is
+    empty); a wanted value not in ``have`` is a ``DataError`` that says ``what``."""
+    missing = [v for v in wanted if v not in have]
     if missing:
-        raise DataError(f"countries not in counts file: {', '.join(missing)}")
-    return [c for c in counts if c in set(wanted)]
+        raise DataError(f"{what}: {', '.join(missing)}")
+    return [v for v in have if not wanted or v in wanted]
 
 
 def cmd_unitroot(args: argparse.Namespace) -> None:
     counts = ingest_counts(args.counts)
     labels, series = [], []
-    for name in _select_countries(counts, args.country):
+    for name in _selection(counts, args.country, "countries not in counts file"):
         window = positive_window(counts[name])
         for order, label in ((1, "d1"), (2, "d2")):
             labels.append(f"{name} {label}")
@@ -192,7 +192,7 @@ def cmd_unitroot(args: argparse.Namespace) -> None:
 def cmd_tailindex(args: argparse.Namespace) -> None:
     counts = ingest_counts(args.counts)
     owners, jobs = {}, []
-    for name in _select_countries(counts, args.country):
+    for name in _selection(counts, args.country, "countries not in counts file"):
         safe = name.replace(" ", "_").replace("/", "-")
         if safe in owners:
             raise DataError(f"countries {owners[safe]!r} and {name!r} would share the curve files {safe}_*")
@@ -219,19 +219,14 @@ def _price_files(
     files = sorted(prices_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no price files in {prices_dir}")
-    out = []
+    named = []
     for f in files:
-        stem = f.stem
-        if "_" not in stem:
-            raise DataError(
-                "price file name must be <Country>_<Index>.csv", path=f, field="file name"
-            )
-        country, index = stem.split("_", 1)
-        if indices and index not in indices:
-            continue
-        if countries and country not in countries:
-            continue
-        out.append((country, index, f))
+        if "_" not in f.stem:
+            raise DataError("price file name must be <Country>_<Index>.csv", path=f, field="file name")
+        named.append((*f.stem.split("_", 1), f))
+    chosen_countries = _selection({c for c, _, _ in named}, countries, "countries not in price files")
+    chosen_indices = _selection({i for _, i, _ in named}, indices, "indices not in price files")
+    out = [(c, i, f) for c, i, f in named if c in chosen_countries and i in chosen_indices]
     if not out:
         raise DataError("no price files match the --index/--country selection")
     return out

@@ -98,8 +98,8 @@ class TestResampleNull:
     def test_unit_multipliers_give_cumsum_of_residuals(self, rng, monkeypatch):
         dy = rng.standard_normal(40)
         model = fit_sieve(dy, 0)
-        monkeypatch.setattr(bt, "_rademacher_rows", lambda seeds, n: np.ones((len(seeds), n)))
-        y_star = bt._resample_chunk(model, [0])[0]
+        monkeypatch.setattr(bt, "_rademacher_rows", lambda prefix, rs, n: np.ones((len(rs), n)))
+        y_star = bt._resample_chunk(model, (), [0])[0]
         assert np.allclose(y_star, np.cumsum(dy - dy.mean()))
 
     def test_zero_phi_keeps_innovations(self, rng, monkeypatch):
@@ -107,14 +107,14 @@ class TestResampleNull:
         resid = dy[1:] - dy[1:].mean()
         model = SieveModel(phi=(0.0,), residuals=resid)
         w = rademacher(3, len(model.residuals))
-        monkeypatch.setattr(bt, "_rademacher_rows", lambda seeds, n: np.tile(w, (len(seeds), 1)))
-        y_star = bt._resample_chunk(model, [0])[0]
+        monkeypatch.setattr(bt, "_rademacher_rows", lambda prefix, rs, n: np.tile(w, (len(rs), 1)))
+        y_star = bt._resample_chunk(model, (), [0])[0]
         assert np.allclose(np.diff(y_star, prepend=0.0), w * model.residuals)
 
     def test_unit_root_imposed(self, rng):
         dy = rng.standard_normal(200)
         model = fit_sieve(dy, 2)
-        y_star = bt._resample_chunk(model, [11])[0]
+        y_star = bt._resample_chunk(model, (), [11])[0]
         # the differences must satisfy the AR recursion exactly
         d = np.diff(y_star, prepend=0.0)
         eps = rademacher((11,), len(model.residuals)) * model.residuals
@@ -137,7 +137,7 @@ class TestResampleNull:
             d[t] = phi * d[t - 1] + e[t]
         model = fit_sieve(d, 1)
         m = len(model.residuals)
-        ends = np.array([bt._resample_chunk(model, [(31, r)])[0][-1] for r in range(2000)])
+        ends = np.array([bt._resample_chunk(model, (31,), [r])[0][-1] for r in range(2000)])
         empirical = np.var(ends / np.sqrt(m))
         target = np.mean(model.residuals**2) / (1.0 - model.phi[0]) ** 2
         assert abs(empirical / target - 1.0) < 0.10
@@ -221,16 +221,16 @@ class TestResampleChunk:
     @pytest.mark.parametrize("p", [0, 3, 13, 21])
     def test_rows_equal_one_seed_chunks(self, rng, p):
         model = fit_sieve(rng.standard_t(3, 160), p)
-        seeds = [(7, 2, r) for r in range(1, 41)]
-        chunk = bt._resample_chunk(model, seeds)
-        assert chunk.shape == (len(seeds), len(model.residuals))
-        for row, seed in zip(chunk, seeds):
-            assert np.array_equal(row, bt._resample_chunk(model, [seed])[0])
+        rs = range(1, 41)
+        chunk = bt._resample_chunk(model, (7, 2), rs)
+        assert chunk.shape == (len(rs), len(model.residuals))
+        for row, r in zip(chunk, rs):
+            assert np.array_equal(row, bt._resample_chunk(model, (7, 2), [r])[0])
 
     @staticmethod
-    def assert_matches_filter(model, seeds):
-        got = bt._resample_chunk(model, seeds)
-        want = reference_chunk(model, seeds)
+    def assert_matches_filter(model, prefix, rs):
+        got = bt._resample_chunk(model, prefix, rs)
+        want = reference_chunk(model, [prefix + (r,) for r in rs])
         assert got.shape == want.shape
         scale = np.abs(want).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -239,20 +239,20 @@ class TestResampleChunk:
     @pytest.mark.parametrize("p", [1, 3, 13, 21])
     def test_matches_recursive_filter(self, p, n):
         dy = np.random.default_rng([p, n]).standard_t(3, n + p)
-        self.assert_matches_filter(fit_sieve(dy, p), [(5, p, n, r) for r in range(12)])
+        self.assert_matches_filter(fit_sieve(dy, p), (5, p, n), range(12))
 
     @pytest.mark.parametrize("n", [25, 149, 999])
     def test_matches_recursive_filter_near_unit_root(self, n):
         roots = [0.99, 0.99 * np.exp(0.3j), 0.99 * np.exp(-0.3j), -0.6]
         model = sieve_with_roots(roots, n, seed=n)
         assert largest_root_modulus(model.phi) == pytest.approx(0.99)
-        self.assert_matches_filter(model, [(6, n, r) for r in range(12)])
+        self.assert_matches_filter(model, (6, n), range(12))
 
     def test_matches_recursive_filter_on_fixture_sieve(self, data_dir):
         model = cascadia_d1_sieve(data_dir)
         assert model.p == 11 and sum(model.phi) == pytest.approx(-5.5, abs=0.1)
         assert largest_root_modulus(model.phi) == pytest.approx(0.847, abs=2e-3)
-        self.assert_matches_filter(model, [(7, r) for r in range(40)])
+        self.assert_matches_filter(model, (7,), range(40))
 
     def test_kernel_built_once_per_report(self, monkeypatch):
         builds, chunks = [], []
@@ -262,9 +262,9 @@ class TestResampleChunk:
             builds.append((phi, n))
             return kernel(phi, n)
 
-        def counting_chunk(model, seeds):
-            chunks.append(len(seeds))
-            return chunk(model, seeds)
+        def counting_chunk(model, prefix, rs):
+            chunks.append(len(rs))
+            return chunk(model, prefix, rs)
 
         monkeypatch.setattr(bt, "_recolour_kernel", counting_kernel)
         monkeypatch.setattr(bt, "_resample_chunk", counting_chunk)
@@ -397,7 +397,7 @@ class TestChunking:
         tracemalloc.start()
         try:
             unitroot._battery_rows(
-                999, n, lambda lo, hi: bt._resample_chunk(model, [(0, r) for r in range(lo + 1, hi + 1)])
+                999, n, lambda lo, hi: bt._resample_chunk(model, (0,), range(lo + 1, hi + 1))
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -132,6 +132,43 @@ class TestExitCodes:
         assert code == 3
         assert "Atlantis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selection, missing", [
+        (["--index", "AVX,NOPE"], "indices not in price files: NOPE"),
+        (["--index", "NOPE,AVX,ZZZ"], "indices not in price files: NOPE, ZZZ"),
+        (["--country", "Arcadia,Atlantis"], "countries not in price files: Atlantis"),
+        (["--index", "AVX", "--country", "Atlantis"], "countries not in price files: Atlantis"),
+    ])
+    def test_predict_selection_matching_no_file_is_3(self, data_dir, tmp_path, capsys, selection, missing):
+        out = tmp_path / "pred.csv"
+        code = run([
+            "predict", "--counts", data_dir / "counts_infections.csv",
+            "--prices-dir", data_dir / "prices", "--rates", data_dir / "rates.csv",
+            *selection, "--out", out,
+        ])
+        assert code == 3
+        assert missing in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_factors_index_matching_no_price_file_is_3(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "fac.csv"
+        code = run([
+            "factors", "--prices-dir", data_dir / "prices", "--index", "AVX,NOPE",
+            "--factors", data_dir / "factors.csv", "--out", out,
+        ])
+        assert code == 3
+        assert "indices not in price files: NOPE" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_selection_of_existing_values_matching_no_file_is_3(self, data_dir, tmp_path, capsys):
+        # AVX and Borduria each name a price file, but no file is both
+        code = run([
+            "predict", "--counts", data_dir / "counts_infections.csv",
+            "--prices-dir", data_dir / "prices", "--rates", data_dir / "rates.csv",
+            "--index", "AVX", "--country", "Borduria", "--out", tmp_path / "pred.csv",
+        ])
+        assert code == 3
+        assert "no price files match" in capsys.readouterr().err
+
     def test_tailindex_data_error_leaves_no_out_dir(self, data_dir, tmp_path):
         out = tmp_path / "curves"
         code = run(["tailindex", "--counts", data_dir / "counts_infections.csv",
@@ -449,17 +486,25 @@ STARTUP_CHILD = """
 import sys
 from pathlib import Path
 
+import numpy
+lazy = "numpy.random" not in sys.modules  # numpy >= 2 loads it on first use
 import robustts, robustts.cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def no_numpy_random():  # robustts loads it only to draw multipliers
+    return not lazy or "numpy.random" not in sys.modules
+
 assert not scipy_modules(), scipy_modules()
+assert no_numpy_random()
 data, out = Path(sys.argv[1]), sys.argv[2]
 counts, prices = str(data / "counts_infections.csv"), str(data / "prices")
 main = robustts.cli.main
 assert main(["tailindex", "--counts", counts, "--out", out + "/curves"]) == 0
+assert no_numpy_random()
 assert main(["unitroot", "--counts", counts, "--B", "0", "--out", out + "/ur.csv"]) == 0
+assert no_numpy_random()
 assert not scipy_modules(), scipy_modules()
 bootstrap = ["--B", "99", "--seed", "42", "--out", out + "/ur99.csv"]
 assert main(["unitroot", "--counts", counts, *bootstrap]) == 0
@@ -475,7 +520,8 @@ assert not scipy_modules(), scipy_modules()
 
 def test_startup_loads_no_scipy(data_dir, tmp_path):
     """Importing the CLI and running every command, the bootstrap and the
-    regression p-values included, loads no scipy module."""
+    regression p-values included, loads no scipy module; importing it and
+    running the commands that draw nothing loads no ``numpy.random``."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_CHILD, data_dir, tmp_path],

@@ -1,7 +1,9 @@
 """Bit identity of the bootstrap multipliers with numpy's own streams.
 
-``_rademacher_rows`` derives a chunk's signs in one vectorised pass; these
-tests hold every row to ``default_rng(SeedSequence(seed)).integers(0, 2, n)``,
+``_rademacher_rows`` hashes a chunk's seeds, one shared prefix and a row of
+replicate numbers, in one vectorised pass and lets numpy seed each row's
+``PCG64``; these tests hold every row to
+``default_rng(SeedSequence(prefix + (r,))).integers(0, 2, n)``,
 so they need numpy and pytest alone and can run against whatever numpy is
 installed.
 """
@@ -34,11 +36,11 @@ def random_seeds(rng, count: int) -> list[tuple[int, ...]]:
     return seeds
 
 
-def assert_rows_are_numpy(seeds, n: int):
-    got = _rademacher_rows(seeds, n)
-    assert got.shape == (len(seeds), n) and got.dtype == np.float64
-    for seed, row in zip(seeds, got):
-        assert row.tobytes() == numpy_signs(seed, n).tobytes(), seed
+def assert_rows_are_numpy(prefix, rs, n: int):
+    got = _rademacher_rows(prefix, rs, n)
+    assert got.shape == (len(rs), n) and got.dtype == np.float64
+    for r, row in zip(rs, got):
+        assert row.tobytes() == numpy_signs(prefix + (r,), n).tobytes(), (prefix, r)
 
 
 def test_random_seed_tuples_one_at_a_time():
@@ -49,24 +51,36 @@ def test_random_seed_tuples_one_at_a_time():
         assert rademacher(seed, n).tobytes() == numpy_signs(seed, n).tobytes(), seed
 
 
-def test_one_call_with_mixed_word_counts():
-    # 0 to 14 words per seed: lanes with fewer words stop mixing early
-    seeds = [(), (0,), (2**32,), (1, 2, 3), (2**64 + 3,), (5, 6, 7, 8), (2**64 + 3, 9, 2**32, 4), (1,) * 6]
-    seeds += random_seeds(np.random.default_rng(21), 120)
+# prefixes whose seeds prefix + (r,) hash 1 to 11 words: 3, 4 and 5 words straddle the pool of four
+WIDTH_PREFIXES = [
+    (), (0,), (2**32,), (1, 2), (2**64 + 3,), (2**32 - 1, 2**32), (5, 6, 7), (2**64 - 1, 9), (1,) * 4,
+    (2**64 + 3, 0), (2**64 + 3, 2**32), (0, 2**64 - 1, 1, 2**32), (2**64 + 3, 1, 2**32 - 1, 2**32, 0, 2**64 - 1),
+]
+
+
+@pytest.mark.parametrize("prefix", WIDTH_PREFIXES)
+def test_chunk_rows_are_numpy_at_every_width(prefix):
     for n in SIZES:
-        assert_rows_are_numpy(seeds, n)
+        assert_rows_are_numpy(prefix, [0, 1, 2**32 - 1], n)
+
+
+def test_chunk_rows_are_numpy_for_random_prefixes():
+    rng = np.random.default_rng(21)
+    for i, prefix in enumerate(random_seeds(rng, 120)):
+        assert_rows_are_numpy(prefix, [0, 1, 2**32 - 1, int(rng.integers(2, 2**32 - 1))], SIZES[i % len(SIZES)])
 
 
 def test_chunk_rows_equal_one_seed_calls():
     rng = np.random.default_rng(22)
-    seeds = random_seeds(rng, 200)
-    for n in (1, 150, 999):
-        whole = _rademacher_rows(seeds, n)
-        cuts = np.sort(rng.choice(np.arange(1, len(seeds)), size=5, replace=False))
-        parts = [_rademacher_rows(chunk, n) for chunk in np.split(np.array(seeds, dtype=object), cuts)]
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
-        for i in rng.choice(len(seeds), size=20, replace=False):
-            assert _rademacher_rows([seeds[i]], n)[0].tobytes() == whole[i].tobytes()
+    rs = range(1, 201)
+    for prefix in random_seeds(rng, 3):
+        for n in (1, 150, 999):
+            whole = _rademacher_rows(prefix, rs, n)
+            cuts = np.sort(rng.choice(np.arange(1, len(rs)), size=5, replace=False))
+            parts = [_rademacher_rows(prefix, rs[lo:hi], n) for lo, hi in zip([0, *cuts], [*cuts, len(rs)])]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+            for i in rng.choice(len(rs), size=20, replace=False):
+                assert _rademacher_rows(prefix, [rs[i]], n)[0].tobytes() == whole[i].tobytes()
 
 
 @pytest.mark.parametrize("s", [0, 12345])
@@ -74,14 +88,16 @@ def test_bench_seed_blocks(s):
     # the (s, i, r) seeds of the benchmark reports: five T=150 series and one
     # T=1000 series, replicates 1..999
     for i in range(6):
-        assert_rows_are_numpy([(s, i, r) for r in range(1, DEFAULT_B + 1)], 149 if i < 5 else 999)
+        assert_rows_are_numpy((s, i), range(1, DEFAULT_B + 1), 149 if i < 5 else 999)
 
 
 def test_int_seed_is_its_one_part_tuple():
-    assert _rademacher_rows([7, (7,)], 33)[0].tobytes() == _rademacher_rows([(7,)], 33)[0].tobytes()
-    assert rademacher(7, 33).tobytes() == numpy_signs(7, 33).tobytes()
+    assert rademacher(7, 33).tobytes() == rademacher((7,), 33).tobytes() == numpy_signs(7, 33).tobytes()
+    assert _rademacher_rows((), [7], 33)[0].tobytes() == rademacher(7, 33).tobytes()
 
 
 def test_n_must_be_positive():
     with pytest.raises(ValueError, match="n must be"):
-        _rademacher_rows([(1,)], 0)
+        _rademacher_rows((1,), None, 0)
+    with pytest.raises(ValueError, match="n must be"):
+        rademacher(1, 0)
