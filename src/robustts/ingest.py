@@ -36,6 +36,10 @@ RATES_HEADER = ("date", "rate_pct")
 FACTORS_HEADER = ("date", "Mkt.RF", "SMB", "HML", "MOM", "RMW", "CMA", "RF")
 # the one shape on which date.fromisoformat agrees with strptime("%Y-%m-%d")
 ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# strptime's own %m/%d/%y fields in ASCII digits alone (no space-padded
+# day), so what it matches strptime reads the same; a plain string, which
+# re compiles on first use
+US_DATE = "(1[0-2]|0[1-9]|[1-9])/(3[01]|[12][0-9]|0[1-9]|[1-9])/([0-9]{2})"
 
 
 def _read_rows(path) -> list[list[str]]:
@@ -65,6 +69,10 @@ def _parse_date(raw: str, fmt: str, path, line: int, field: str) -> Date:
     try:
         if fmt == "%Y-%m-%d" and ISO_DATE.fullmatch(text):
             return Date.fromisoformat(text)
+        if fmt == "%m/%d/%y" and (us := re.fullmatch(US_DATE, text)):
+            month, day, year = map(int, us.groups())
+            # strptime's %y pivot: 69-99 are 19xx, 00-68 are 20xx
+            return Date(year + (1900 if year >= 69 else 2000), month, day)
         return datetime.strptime(text, fmt).date()
     except ValueError as exc:
         raise DataError(f"unparseable date {raw!r}", path=path, line=line, field=field) from exc
@@ -108,12 +116,18 @@ def ingest_counts(path) -> dict[str, Series]:
         country = row[1].strip()
         if not country:
             raise DataError("empty country name", path=path, line=line_no, field="Country/Region")
-        values = np.array(
-            [
-                _parse_number(raw, path, line_no, header[4 + i])
-                for i, raw in enumerate(row[4:])
-            ]
-        )
+        # float is _parse_number's parser; field by field only to name a failure
+        try:
+            values = np.array(list(map(float, row[4:])))
+        except ValueError:
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
+            values = np.array(
+                [
+                    _parse_number(raw, path, line_no, header[4 + i])
+                    for i, raw in enumerate(row[4:])
+                ]
+            )
         if np.any(values < 0):
             bad = int(np.argmax(values < 0))
             raise DataError(

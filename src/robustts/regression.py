@@ -377,6 +377,12 @@ def im_tstat(group_estimates) -> GroupInference:
 
 def grouped_ols(X, y, q: int) -> tuple[GroupInference, ...]:
     """Re-estimate the full regression per block; one GroupInference per column."""
+    estimates = _group_estimates(X, y, q)
+    return tuple(im_tstat(estimates[:, i]) for i in range(estimates.shape[1]))
+
+
+def _group_estimates(X, y, q: int) -> np.ndarray:
+    """The coefficients of the regression fitted on each of the ``q`` blocks, one row per block."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     T, k = X.shape
@@ -389,7 +395,7 @@ def grouped_ols(X, y, q: int) -> tuple[GroupInference, ...]:
         if rank < k:
             raise NumericalError(f"group {j} is rank-deficient")
         estimates[j - 1] = coef
-    return tuple(im_tstat(estimates[:, i]) for i in range(k))
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -420,7 +426,8 @@ def predictive_report(pair: PairedSample, qs=DEFAULT_QS) -> PredictiveInference:
     X = np.column_stack([np.ones(pair.T), pair.x])
     fit = ols(X, pair.y)
     hac = hac_inference(fit)
-    grouped = {int(q): grouped_ols(X, pair.y, int(q))[1] for q in qs}
+    # the slope's inference alone: the intercept's goes unread
+    grouped = {int(q): im_tstat(_group_estimates(X, pair.y, int(q))[:, 1]) for q in qs}
     return PredictiveInference(
         T=pair.T,
         alpha=float(fit.coefficients[0]),

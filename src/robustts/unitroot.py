@@ -9,13 +9,14 @@ OLS-demeaned data; the statistics themselves use GLS-demeaned data with that
 shared lag.
 
 This module is the kernel alone: :func:`_battery_batch` evaluates the
-battery on a stack of series from one Gram matrix, summed over fixed blocks
-of a lag design that carries both demeaned levels, which serves both the MAIC
-search and the ADF fit; :func:`_battery_rows`, its one loop, calls it per
-chunk of series, and :func:`_stats` turns its rows into
-:class:`UnitRootStats`.  A row's bits do not depend on the rows sharing its
-call.  Series reach it through :mod:`robustts.bootstrap`.  The scalar formula
-references it is tested against live in ``tests/reference_unitroot.py``.
+battery on a stack of series from one Gram matrix of a lag design that
+carries both demeaned levels, built from lag sums of the differences without
+the design (:func:`_lag_gram`), which serves both the MAIC search and the ADF
+fit; :func:`_battery_rows`, its one loop, calls it per chunk of series, and
+:func:`_stats` turns its rows into :class:`UnitRootStats`.  A row's bits do
+not depend on the rows sharing its call.  Series reach it through
+:mod:`robustts.bootstrap`.  The scalar formula references it is tested
+against live in ``tests/reference_unitroot.py``.
 
 No critical values are shipped: decisions are meant to come from the
 bootstrap p-values in :mod:`robustts.bootstrap`.
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericalError
 from .series import Series
@@ -42,12 +44,11 @@ STAT_TAILS = {"LR": "right", "MZa": "left", "MSB": "left", "MZt": "left", "MPt":
 DEFAULT_C_BAR = -7.0
 LR_C_GRID = np.arange(0.0, 50.5, 0.5)
 MIN_BATTERY_LENGTH = 25
-# the bytes a chunk of series may hold: per series, one lag-design block of
-# _BLOCK observations and eight series-length arrays (levels, differences,
-# temporaries); block edges depend only on T, so a row's bits do not depend
-# on the chunking
+# the bytes a chunk of series may hold: per series, eight series-length
+# arrays (the series, its levels and differences, the stack the level sums
+# run over, temporaries) and five of (k_max+3)^2 (the lag products, their running sums
+# and the Gram matrices)
 CHUNK_BYTES = 3_000_000
-_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,66 @@ def _gram(Z: np.ndarray) -> np.ndarray:
     return Z @ Z.transpose(0, 2, 1)
 
 
+# per k_max, built on first use: the flat indices that lay _lag_gram's lag
+# products out by lag difference, and that gather its Gram from one row of sums
+_GRAM_INDEX: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gram_index(k: int) -> tuple[np.ndarray, np.ndarray]:
+    if k not in _GRAM_INDEX:
+        m = k + 1
+        # [a, e] takes R[e] for a = 0, then W[a-1, a-1+e] while a-1+e < k,
+        # else the zero after W
+        a, e = np.ogrid[:m, :m]
+        skew = np.where(a == 0, e, m + np.where(a + e <= k, (a - 1) * (k + 1) + e, k * k))
+        # the design positions as lags, the response being lag 0, or as
+        # levels (-1); and the levels as 0 (U) or 1 (V)
+        lag = np.r_[-1, 1:m, 0, -1]
+        level = np.r_[0, np.zeros(m, int), 1]
+        p, q = np.ogrid[: k + 3, : k + 3]
+        lo, hi, lv = np.minimum(lag[p], lag[q]), np.maximum(lag[p], lag[q]), level[p] + level[q]
+        gram = np.where(lo >= 0, lo * m + hi - lo, m * m + np.where(hi >= 0, m * lv + hi, 2 * m + lv))
+        _GRAM_INDEX[k] = skew.ravel(), gram.ravel()
+    return _GRAM_INDEX[k]
+
+
+def _lag_gram(U: np.ndarray, V: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the lag design (:func:`_lag_design`) over
+    observations ``k..T-2`` for every row, from lag sums without the design.
+
+    The lag columns are shifted copies of the differences ``d``, so only
+    ``R[e] = sum_s d_s d_{s-e}`` (e = 0..k) and the level sums ``UU, UV,
+    VV, Ud, Vd`` run over the sample.  A lag pair moved one step back gains
+    the product that enters at the head and loses the one that leaves at the
+    tail, ``LL[a+1, b+1] = LL[a, b] + h_a h_b - t_a t_b`` with
+    ``h_a = d_{k-1-a}`` and ``t_a = d_{T-2-a}``; and as both levels ``X``
+    have the differences ``d``, ``F(j) = sum_s X_s d_{s-j}`` is ``F(j-1) +
+    X_{k-1} h_{j-1} - X_{T-2} t_{j-1} + LL[1, j]``.  Each sum is a row's
+    own, so a row's bits do not depend on the other rows.
+    """
+    C, T = U.shape
+    k = P.shape[1] - (T - 1)
+    m = k + 1
+    skew, gram = _gram_index(k)
+    d = P[:, k:]
+    h, t = P[:, 2 * k - 1 : k - 1 : -1], P[:, : -k - 1 : -1]
+    R = np.einsum("cnw,cn->cw", sliding_window_view(d, m, axis=1), d[:, k:])[:, ::-1]
+    X = np.stack((U[:, k : T - 1], V[:, k : T - 1], d[:, k:]), axis=1)
+    S = X[:, :2] @ X.transpose(0, 2, 1)  # (U, V) against (U, V, d)
+    W = h[:, :, None] * h[:, None, :] - t[:, :, None] * t[:, None, :]
+    # L[a, e] = LL[a, a+e], summed down a
+    L = np.concatenate((R, W.reshape(C, -1), np.zeros((C, 1))), axis=1)[:, skew].reshape(C, m, m)
+    for a in range(1, m):
+        L[:, a] += L[:, a - 1]
+    ends = np.stack((U[:, [k - 1, T - 2]], V[:, [k - 1, T - 2]]), axis=1)
+    F = np.empty((C, 2, m))
+    F[:, :, 0] = S[:, :, 2]
+    F[:, :, 1:] = ends[:, :, :1] * h[:, None] - ends[:, :, 1:] * t[:, None] + L[:, None, 1, :k]
+    F = np.cumsum(F, axis=2)
+    sums = np.concatenate((L.reshape(C, -1), F.reshape(C, -1), S[:, 0, :2], S[:, 1, 1:2]), axis=1)
+    return sums[:, gram].reshape(C, k + 3, k + 3)
+
+
 def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> np.ndarray:
     """MAIC of lags 0..k_max for every row, a C x (k_max+1) array.
 
@@ -208,9 +269,10 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     are those of ``select_lag_maic``, ``gls_demean``, ``_adf_fit``,
     ``mz_msb_mzt``, ``mp_test`` and ``lr_test`` in
     ``tests/reference_unitroot.py``, evaluated on one Gram matrix of a lag
-    design carrying both demeaned levels (:func:`_lag_design`), which serves
-    the MAIC search (:func:`_maic`) and the ADF fit (:func:`_adf_gram`), so a
-    row agrees with them to rounding.  No whole design is held.  Every step
+    design carrying both demeaned levels, built from lag sums
+    (:func:`_lag_gram`), which serves the MAIC search (:func:`_maic`) and the
+    ADF fit (:func:`_adf_gram`), so a row agrees with them to rounding.  Of
+    the design only its first ``k_max`` observations are built.  Every step
     works row by row (no product spans rows), so a row's bits do not depend
     on the other rows.  Their ``NumericalError`` checks and those of
     :class:`UnitRootStats` are kept: one failing on any row raises the same
@@ -234,10 +296,9 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     D = np.subtract(U[:, 1:], U[:, :-1], out=P[:, k_max:])
 
     # MAIC on the OLS-demeaned data over the common sample t > k_max+1: the
-    # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix,
-    # summed over blocks of observations whose edges depend only on T
+    # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix
     m = k_max + 1
-    A = sum(_gram(_lag_design(U, V, P, lo, min(lo + _BLOCK, T - 1))) for lo in range(k_max, T - 1, _BLOCK))
+    A = _lag_gram(U, V, P)
     M = _finite(A[:, : m + 1, : m + 1])
     lag = np.argmin(_finite(_maic(M[:, :m, :m], M[:, :m, m], M[:, m, m], T, k_max)), axis=1)
 
@@ -305,7 +366,7 @@ def _battery_rows(n: int, T: int, stack) -> dict[str, np.ndarray]:
     fail in the kernel.
     """
     T = max(T, MIN_BATTERY_LENGTH)
-    size = max(1, CHUNK_BYTES // (8 * ((default_k_max(T) + 3) * min(_BLOCK, T - 1) + 8 * T)))
+    size = max(1, CHUNK_BYTES // (8 * (8 * T + 5 * (default_k_max(T) + 3) ** 2)))
     chunks = [_battery_batch(stack(lo, min(lo + size, n))) for lo in range(0, n, size)]
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 

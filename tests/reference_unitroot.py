@@ -6,10 +6,11 @@ One function per step of the battery on a single series: MAIC lag choice
 (:func:`mp_test`) and the LR profile (:func:`lr_test`).  The library runs
 only the batched kernel :func:`robustts.unitroot._battery_batch`; the tests
 hold each of its rows to these formulas and check their properties here.
-Two batched steps of the kernel have their own references: the per-lag MAIC
-loop (:func:`maic_per_lag`) and the ADF Gram built from a second design of
-the GLS-demeaned rows (:func:`adf_gram_two_designs`).  :func:`row_bytes` is
-the chunk rule's count of the bytes a series holds in the kernel.
+Three batched steps of the kernel have their own references: the Gram of
+the explicit lag design (:func:`lag_design_gram`), the per-lag MAIC loop
+(:func:`maic_per_lag`) and the ADF Gram built from a second design of the
+GLS-demeaned rows (:func:`adf_gram_two_designs`).  :func:`row_bytes` is the
+chunk rule's count of the bytes a series holds in the kernel.
 """
 
 from __future__ import annotations
@@ -186,6 +187,24 @@ def lr_test(y) -> float:
     return float((T - 1) * (math.log(sig2_null) - math.log(best)))
 
 
+def lag_design_gram(U: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
+    """The Gram matrix of every row's explicit lag-``k`` ADF design over
+    observations ``k..T-2``: the columns of :func:`_adf_design` on the
+    OLS-demeaned row of ``U`` (its level and lags 1..k), then its response,
+    then the GLS-demeaned level of ``V``.
+
+    :func:`robustts.unitroot._lag_gram` builds the same matrix from lag sums
+    without the design.
+    """
+    T = U.shape[1]
+    out = []
+    for u, v in zip(U, V):
+        resp, X = _adf_design(u, k, start=k)
+        Z = np.column_stack([X, resp, v[k : T - 1]])
+        out.append(Z.T @ Z)
+    return np.array(out)
+
+
 def maic_per_lag(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> np.ndarray:
     """MAIC of lags 0..k_max on a stack of Gram blocks, one solve per lag.
 
@@ -211,7 +230,7 @@ def adf_gram_two_designs(V: np.ndarray, lag: np.ndarray, k_max: int) -> np.ndarr
     GLS-demeaned rows ``V`` at its own ``lag``, from a design of ``V`` itself.
 
     The result is that of :func:`robustts.unitroot._adf_gram`, which reads the
-    same matrix off the blocked Gram of the kernel's lag design instead.  Here
+    same matrix off the Gram of the kernel's lag design instead.  Here
     a design (level, lags 1..k_max, response) of ``V`` alone is built over
     every observation, a row's observations before its sample are zeroed, and
     so are its lag variables beyond its own lag, before one full-sample Gram
@@ -233,7 +252,6 @@ def adf_gram_two_designs(V: np.ndarray, lag: np.ndarray, k_max: int) -> np.ndarr
 
 
 def row_bytes(T: int) -> int:
-    """The bytes the kernel holds per series of length ``T``: one lag-design
-    block of (k_max + 3) rows by at most 256 observations, plus eight
-    series-length arrays."""
-    return 8 * ((default_k_max(T) + 3) * min(256, T - 1) + 8 * T)
+    """The bytes the kernel holds per series of length ``T``: eight
+    series-length arrays and five of (k_max + 3)^2."""
+    return 8 * (8 * T + 5 * (default_k_max(T) + 3) ** 2)

@@ -55,6 +55,25 @@ class TestIngestCounts:
             ingest_counts(p)
         assert (err.value.path, err.value.line, err.value.field) == (p, 2, "1/23/20")
 
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "unparseable number 'abc'"),
+        ("inf", "non-finite number 'inf'"),
+        ("nan", "non-finite number 'nan'"),
+        ("-1", "negative cumulative count -1.0"),
+    ])
+    def test_bad_value_names_line_and_column(self, tmp_path, raw, message):
+        # the second of three rows, the second date column
+        p = write(tmp_path, "c.csv", f"{COUNTS_HEADER}\n,X,0,0,1,2\n,Y,0,0,3,{raw}\n,Z,0,0,5,6\n")
+        with pytest.raises(DataError) as err:
+            ingest_counts(p)
+        assert str(err.value) == f"file {p}, line 3, field '1/23/20': {message}"
+
+    def test_values_read_by_float(self, tmp_path):
+        fields = [" 5", "1e3", "+2", "1_000", "7.25", "-0"]
+        header = "Province/State,Country/Region,Lat,Long," + ",".join(f"1/{d}/20" for d in range(1, 7))
+        p = write(tmp_path, "c.csv", f"{header}\n,X,0,0,{','.join(fields)}\n")
+        assert ingest_counts(p)["X"].values.tolist() == [float(f) for f in fields]
+
     def test_negative_count_rejected(self, tmp_path):
         p = write(tmp_path, "c.csv", f"{COUNTS_HEADER}\n,X,0,0,1,-2\n")
         with pytest.raises(DataError, match="negative cumulative"):
@@ -192,3 +211,47 @@ class TestIsoDates:
                 for d in ("00", "01", "28", "29", "30", "31", "32"):
                     text = f"{y}-{m}-{d}"
                     assert parse_or_error(text) == strptime_or_error(text), text
+
+
+def us_strptime_or_error(text):
+    try:
+        return datetime.strptime(text.strip(), "%m/%d/%y").date()
+    except ValueError:
+        return "rejected"
+
+
+def us_parse_or_error(text):
+    try:
+        return _parse_date(text, "%m/%d/%y", "f.csv", 1, "column 5")
+    except DataError as exc:
+        assert str(exc) == f"file f.csv, line 1, field 'column 5': unparseable date {text!r}"
+        return "rejected"
+
+
+class TestUsDates:
+    # _parse_date takes the digit shapes of strptime's %m/%d/%y fields through
+    # a regular expression and every other string through strptime; the
+    # accepted set and the dates are strptime's
+    PARTS = ("", "0", "00", "1", "01", "2", "02", "9", "09", "10", "12", "13", "19", "20", "28", "29",
+             "30", "31", "32", "68", "69", "99", " 1", "1 ", "2020", "001", "\u0661", "\uff11", "a")
+
+    def test_shape_grid_matches_strptime(self):
+        for m in self.PARTS:
+            for d in self.PARTS:
+                for y in self.PARTS:
+                    text = f"{m}/{d}/{y}"
+                    assert us_parse_or_error(text) == us_strptime_or_error(text), text
+
+    @pytest.mark.parametrize("text", [
+        "1/22/20", " 1/22/20 ", "1-22-20", "1/22/2020", "2/29/21", "2/29/20", "1/22",
+    ])
+    def test_other_separators_and_padding(self, text):
+        assert us_parse_or_error(text) == us_strptime_or_error(text)
+
+    def test_every_day_of_the_century_pivot(self):
+        # %y reads 69-99 as 19xx and 00-68 as 20xx
+        day, last = date(1969, 1, 1), date(2068, 12, 31)
+        while day <= last:
+            for text in (f"{day.month}/{day.day}/{day:%y}", day.strftime("%m/%d/%y")):
+                assert _parse_date(text, "%m/%d/%y", "f.csv", 1, "column 5") == day, text
+            day += timedelta(days=1)

@@ -13,6 +13,7 @@ from reference_unitroot import (
     adf_gls,
     adf_gram_two_designs,
     gls_demean,
+    lag_design_gram,
     lr_test,
     maic_per_lag,
     mp_test,
@@ -275,13 +276,13 @@ def reference_battery(v):
 TOL = {"rel": 1e-12, "abs": 1e-12}
 
 
-# lengths whose Gram body (observations k_max..T-2) spans 255, 256 and 257
-# observations: one block less one, one block, and one block plus one
-BLOCK_EDGES = [271, 272, 273]
+# three neighbouring lengths, whose Gram bodies (observations k_max..T-2)
+# span 255, 256 and 257 observations: a power of two and either side
+NEIGHBOURS = [271, 272, 273]
 
 
 class TestBatteryKernel:
-    @pytest.mark.parametrize("T", [25, 150, *BLOCK_EDGES, 1000])
+    @pytest.mark.parametrize("T", [25, 150, *NEIGHBOURS, 1000])
     def test_matches_scalar_references(self, T):
         Y = dgp_stack(T)
         out = _battery_batch(Y)
@@ -329,8 +330,56 @@ class TestBatteryKernel:
             _battery_batch(Y)
 
 
+def lag_gram_arguments(monkeypatch, Y):
+    """The levels and lag source that the kernel passes to ``_lag_gram`` on ``Y``."""
+    seen, real = [], unitroot._lag_gram
+    monkeypatch.setattr(unitroot, "_lag_gram", lambda *args: seen.append(args) or real(*args))
+    _battery_batch(Y)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def flat_start(T):
+    """Counts that stay flat (zero differences) over their first half, then grow."""
+    rng = np.random.default_rng(T)
+    return np.cumsum(np.r_[np.zeros(T // 2), rng.poisson(3.0, T - T // 2) + 1.0])
+
+
+class TestLagGram:
+    @pytest.mark.parametrize("T", [25, 26, 40, 150, *NEIGHBOURS[::2], 999, 1000])
+    def test_matches_explicit_design(self, monkeypatch, T):
+        walks = dgp_stack(T, per_dgp=8)
+        # flat counts, whose head lag products are all zero, and a walk at
+        # scale 1e150, whose Gram nears 1e305 without overflowing
+        Y = np.vstack([walks, flat_start(T), walks[0] * 1e150])
+        U, V, P = lag_gram_arguments(monkeypatch, Y)
+        k = default_k_max(T)
+        assert P.shape == (len(Y), k + T - 1)
+        got, want = unitroot._lag_gram(U, V, P), lag_design_gram(U, V, k)
+        # the two sum in another order: 1e-14 relative to each row's max |G|
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-14 * scale), T
+
+    @pytest.mark.parametrize("T", [25, 150, 1000])
+    def test_stack_matches_rows_alone_bit_for_bit(self, monkeypatch, T):
+        Y = np.vstack([dgp_stack(T, per_dgp=4), flat_start(T)])
+        U, V, P = lag_gram_arguments(monkeypatch, Y)
+        stacked = unitroot._lag_gram(U, V, P)
+        for i in range(len(Y)):
+            alone = unitroot._lag_gram(U[i : i + 1], V[i : i + 1], P[i : i + 1])
+            assert alone.tobytes() == stacked[i : i + 1].tobytes(), (T, i)
+
+    def test_overflow_still_raises(self, rng):
+        # at 1e160 the level sums pass the largest double
+        Y = np.vstack([random_walk(rng, 1000), random_walk(rng, 1000) * 1e160])
+        message = "^unit-root battery overflows: the series values are too large$"
+        with pytest.raises(NumericalError, match=message):
+            _battery_batch(Y)
+
+
 def adf_gram_arguments(monkeypatch, Y):
-    """The blocked design Gram and the design's head columns that the kernel
+    """The lag design's Gram and the design's head columns that the kernel
     passes to ``_adf_gram`` on ``Y``."""
     seen, real = [], unitroot._adf_gram
     monkeypatch.setattr(unitroot, "_adf_gram", lambda *args: seen.append(args) or real(*args))
@@ -340,7 +389,7 @@ def adf_gram_arguments(monkeypatch, Y):
 
 
 class TestAdfGram:
-    @pytest.mark.parametrize("T", [25, 150, *BLOCK_EDGES, 1000])
+    @pytest.mark.parametrize("T", [25, 150, *NEIGHBOURS, 1000])
     def test_matches_two_designs_at_every_lag(self, monkeypatch, T):
         Y = dgp_stack(T, per_dgp=8)
         k_max = default_k_max(T)
@@ -371,7 +420,7 @@ def concat(outs):
 
 
 class TestBatchInvariance:
-    @pytest.mark.parametrize("T", [30, 60, 150, *BLOCK_EDGES, 999, 1000])
+    @pytest.mark.parametrize("T", [30, 60, 150, *NEIGHBOURS, 999, 1000])
     def test_random_chunks_match_rows_alone(self, T):
         Y = dgp_stack(T, per_dgp=8)
         alone = concat([_battery_batch(Y[i : i + 1]) for i in range(len(Y))])
@@ -383,8 +432,8 @@ class TestBatchInvariance:
 
 
 class TestBatteryRows:
-    # a T=150 row holds (16 * 149 + 8 * 150) * 8 = 28,672 bytes: chunks of
-    # 1 (budgets below one row), 1, 3 and all 37 rows
+    # a T=150 row holds (8 * 150 + 5 * 16**2) * 8 = 19,840 bytes: chunks of
+    # 1 (budgets below one row), 2, 5 and all 37 rows
     @pytest.mark.parametrize("chunk_bytes", [1, 18_000, 40_000, 100_000, 2_000_000, unitroot.CHUNK_BYTES])
     def test_stack_ranges_cover_every_series_once(self, monkeypatch, rng, chunk_bytes):
         T, n = 150, 37
