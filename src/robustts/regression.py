@@ -4,7 +4,9 @@ The HAC route uses the quadratic spectral kernel with the AR(1) plug-in
 automatic bandwidth and standard-normal p-values.  The grouped route splits
 the sample into q consecutive blocks, re-estimates the full regression in
 each block and applies the Student-t statistic of the block estimates
-(size control is guaranteed for test levels up to 8.3%).  P-values use
+(size control is guaranteed for test levels up to 8.3%).  All blocks of a q
+are fitted by one batched QR, and the t-statistics of every q and every
+coefficient come from one pass over the stacked block estimates.  P-values use
 numpy and ``math`` alone: the normal one is ``math.erfc``, the Student-t one
 the regularised incomplete beta function by a continued fraction
 (DiDonato & Morris 1992).  Both stay within 1e-12 relative of
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +91,10 @@ class OlsFit:
     def ssr(self) -> float:
         with np.errstate(over="ignore"):
             return float(self.residuals @ self.residuals)
+
+    @cached_property
+    def _xtx_inv(self) -> np.ndarray:  # shared by the classical and the HAC errors
+        return np.linalg.inv(self.X.T @ self.X)
 
 
 @dataclass(frozen=True)
@@ -227,8 +234,7 @@ def classical_tstats(fit: OlsFit) -> tuple[np.ndarray, np.ndarray]:
     sigma2 = fit.ssr / dof
     if not math.isfinite(sigma2):
         raise NumericalError("classical residual variance overflows: the residuals are too large")
-    xtx_inv = np.linalg.inv(fit.X.T @ fit.X)
-    se = np.sqrt(sigma2 * np.diag(xtx_inv))
+    se = np.sqrt(sigma2 * np.diag(fit._xtx_inv))
     if np.any(se == 0):
         raise NumericalError("zero classical standard error")
     t_stats = fit.coefficients / se
@@ -260,29 +266,29 @@ def andrews_bandwidth(scores) -> float:
     T = V.shape[0]
     if T < 10:
         raise DataError(f"need at least 10 observations, got {T}")
-    if not np.all(np.isfinite(V)):
+    top = np.abs(V).max()
+    if not top < np.inf:
         raise NumericalError("HAC bandwidth needs finite regression scores")
     # alpha(2) is a ratio of fourth powers, so one power-of-two scale leaves
     # it bit for bit unchanged; with the largest |score| in [1/2, 1) no sum
     # or power below can overflow
-    V = np.ldexp(V, -np.frexp(np.max(np.abs(V)))[1])
-    num = 0.0
-    den = 0.0
-    for a in range(V.shape[1]):
-        u = V[:, a]
-        d = float(u[:-1] @ u[:-1])
-        if d == 0.0:
-            continue
-        rho = float(u[1:] @ u[:-1]) / d
-        if abs(rho) >= 1.0:
-            rho = math.copysign(RHO_CLAMP, rho)
-        innov = u[1:] - rho * u[:-1]
-        sigma2 = float(np.mean(innov**2))
-        num += 4.0 * rho**2 * sigma2**2 / (1.0 - rho) ** 8
-        den += sigma2**2 / (1.0 - rho) ** 4
+    U = np.ldexp(V.T, -np.frexp(top)[1], order="C")
+    # one row per score series; a series zero before its last value carries no weight
+    lag = U[:, :-1]
+    d = (lag * lag).sum(axis=1)
+    live = d != 0.0
+    U, d = U[live], d[live]
+    lead, lag = U[:, 1:], U[:, :-1]
+    rho = (lead * lag).sum(axis=1) / d
+    rho = np.where(np.abs(rho) < 1.0, rho, np.copysign(RHO_CLAMP, rho))
+    innov = lead - rho[:, None] * lag
+    c2 = (1.0 - rho) ** 2
+    s = (innov * innov).sum(axis=1) / ((T - 1) * c2)  # sigma^2 / (1 - rho)^2
+    den = float(s @ s)
     if den == 0.0:
         return 0.0
-    alpha2 = num / den
+    r = rho * s / c2
+    alpha2 = 4.0 * float(r @ r) / den
     return QS_BANDWIDTH_CONSTANT * (alpha2 * T) ** 0.2
 
 
@@ -336,8 +342,7 @@ def hac_inference(fit: OlsFit) -> HacResult:
     scores = fit.X * fit.residuals[:, None]
     bandwidth = andrews_bandwidth((fit.X - fit.X.mean(axis=0)) * fit.residuals[:, None])
     omega = long_run_variance(scores, bandwidth)
-    xtx_inv = np.linalg.inv(fit.X.T @ fit.X)
-    cov = xtx_inv @ (fit.T * omega) @ xtx_inv
+    cov = fit._xtx_inv @ (fit.T * omega) @ fit._xtx_inv
     variances = np.clip(np.diag(cov), 0.0, None)
     se = np.sqrt(variances)
     if np.any(se == 0):
@@ -364,38 +369,70 @@ def group_partition(T: int, q: int) -> tuple[tuple[int, int], ...]:
 def im_tstat(group_estimates) -> GroupInference:
     """Student-t statistic of q group estimates: ``sqrt(q) * mean / sd``."""
     est = np.asarray(group_estimates, dtype=float)
-    q = len(est)
-    if q < 2:
-        raise ValueError(f"need at least 2 group estimates, got {q}")
-    s = float(np.std(est, ddof=1))
-    if s == 0.0:
+    if len(est) < 2:
+        raise ValueError(f"need at least 2 group estimates, got {len(est)}")
+    return _group_inference(est[:, None], (len(est),))[0][0]
+
+
+def _group_inference(estimates: np.ndarray, qs) -> list[tuple[GroupInference, ...]]:
+    """The grouped t of every column of the block estimates stacked q by q, one tuple per q."""
+    q = np.array(qs)[:, None]
+    starts = np.cumsum(qs) - q[:, 0]
+    mean = np.add.reduceat(estimates, starts) / q
+    dev = estimates - np.repeat(mean, qs, axis=0)
+    sd = np.sqrt(np.add.reduceat(dev * dev, starts) / (q - 1))
+    if np.any(sd == 0):
         raise NumericalError("zero variance across group estimates")
-    t_stat = math.sqrt(q) * float(np.mean(est)) / s
-    p_value = _student_p(abs(t_stat), q - 1)
-    return GroupInference(group_estimates=tuple(float(e) for e in est), t_stat=t_stat, p_value=p_value)
+    t_stats = (np.sqrt(q) * mean / sd).tolist()
+    return [
+        tuple(
+            GroupInference(group_estimates=tuple(e), t_stat=t, p_value=_student_p(abs(t), n - 1))
+            for e, t in zip(estimates[lo : lo + n].T.tolist(), row)
+        )
+        for n, lo, row in zip(qs, starts.tolist(), t_stats)
+    ]
 
 
 def grouped_ols(X, y, q: int) -> tuple[GroupInference, ...]:
     """Re-estimate the full regression per block; one GroupInference per column."""
-    estimates = _group_estimates(X, y, q)
-    return tuple(im_tstat(estimates[:, i]) for i in range(estimates.shape[1]))
+    return _group_inference(_group_estimates(X, y, (q,)), (q,))[0]
 
 
-def _group_estimates(X, y, q: int) -> np.ndarray:
-    """The coefficients of the regression fitted on each of the ``q`` blocks, one row per block."""
+def _group_estimates(X, y, qs) -> np.ndarray:
+    """The coefficients fitted on each block of each q in ``qs``, one row per block, q by q.
+
+    A q's blocks differ in length by at most one: one batched QR of their
+    ``[X y]`` stack, a short block ending in a zero row, gives each block's
+    ``R = [[R11, r], [0, .]]`` and its estimates ``R11^-1 r``.  Rank follows
+    ``lstsq``'s rule on the singular values of R11 (every block is longer than k).
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     T, k = X.shape
-    estimates = np.empty((q, k))
-    for j, (lo, hi) in enumerate(group_partition(T, q), start=1):
-        Xg, yg = X[lo:hi], y[lo:hi]
-        if hi - lo <= k:
-            raise NumericalError(f"group {j} has {hi - lo} observations for {k} parameters")
-        coef, _, rank, _ = np.linalg.lstsq(Xg, yg, rcond=None)
-        if rank < k:
-            raise NumericalError(f"group {j} is rank-deficient")
-        estimates[j - 1] = coef
-    return estimates
+    partitions = []
+    for q in qs:
+        partitions.append(group_partition(T, q))
+        if T // q <= k:
+            raise DataError(f"q={q} leaves blocks of {T // q} observations for {k} parameters")
+    R = []
+    for blocks in partitions:
+        # each block stored column by column, the layout LAPACK reads
+        stack = np.zeros((len(blocks), k + 1, -(-T // len(blocks))))
+        for S, (lo, hi) in zip(stack, blocks):
+            S[:k, : hi - lo] = X[lo:hi].T
+            S[k, : hi - lo] = y[lo:hi]
+        R.append(np.linalg.qr(stack.transpose(0, 2, 1), mode="r"))
+    R = np.concatenate(R)
+    s = np.linalg.svd(R[:, :k, :k], compute_uv=False)
+    lengths = np.array([hi - lo for blocks in partitions for lo, hi in blocks])
+    bad = ~(s[:, -1] > np.finfo(float).eps * lengths * s[:, 0])
+    if bad.any():
+        j = int(np.argmax(bad))
+        for q in qs:
+            if j < q:
+                raise NumericalError(f"group {j + 1} of q={q} is rank-deficient")
+            j -= q
+    return np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -426,8 +463,11 @@ def predictive_report(pair: PairedSample, qs=DEFAULT_QS) -> PredictiveInference:
     X = np.column_stack([np.ones(pair.T), pair.x])
     fit = ols(X, pair.y)
     hac = hac_inference(fit)
-    # the slope's inference alone: the intercept's goes unread
-    grouped = {int(q): im_tstat(_group_estimates(X, pair.y, int(q))[:, 1]) for q in qs}
+    qs = tuple(int(q) for q in qs)
+    grouped = {}
+    if qs:  # the slope's inference alone: the intercept's goes unread
+        slope = _group_estimates(X, pair.y, qs)[:, 1:]
+        grouped = {q: g for q, (g,) in zip(qs, _group_inference(slope, qs))}
     return PredictiveInference(
         T=pair.T,
         alpha=float(fit.coefficients[0]),

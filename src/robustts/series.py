@@ -49,6 +49,9 @@ def first_unordered(dates) -> int | None:
 
 def shared_dates(dates, other) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays ``(i, j)`` of every exact match ``dates[i] == other[j]``, in date order."""
+    if len(dates) == len(other) and dates == other:
+        i = np.arange(len(dates), dtype=np.intp)
+        return i, i
     where = {d: j for j, d in enumerate(other)}
     i = [k for k, d in enumerate(dates) if d in where]
     return np.array(i, dtype=np.intp), np.array([where[dates[k]] for k in i], dtype=np.intp)

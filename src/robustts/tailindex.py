@@ -5,6 +5,9 @@ positive sample.  The rank-size regression applies the small-sample shift of
 1/2 in ranks, with standard error ``sqrt(2/k) * zeta``; the Hill standard
 error is ``zeta / sqrt(k)``.  Confidence bands use the normal 1.96 multiplier
 at every truncation level.
+An estimator sorts only a sample that is not already ascending, such as
+the k + 1 largest values a curve hands it, and reads ``ln(rank - 1/2)``
+from a module table grown on first use.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ Z_95 = 1.96
 # the truncation grid of :func:`k_grid`: lo_frac, hi_frac, steps
 DEFAULT_GRID = (0.025, 0.15, 20)
 RANK_SHIFT = 0.5  # ln(rank - 1/2): the rank-size small-sample bias correction
+_LOG_RANKS = np.empty(0)  # ln(rank - 1/2) for ranks 1, 2, ...: see _log_ranks
 
 
 @dataclass(frozen=True)
@@ -74,10 +78,13 @@ class TailCurve:
 
 
 def _sorted_positive(sample) -> np.ndarray:
-    """The sample sorted ascending, checked to hold only positive finite values."""
-    vals = np.sort(np.asarray(sample, dtype=float))
+    """The sample sorted ascending (kept if it is), checked to hold only positive finite values."""
+    vals = np.asarray(sample, dtype=float)
     if len(vals) == 0:
         raise ValueError("empty sample")
+    # a NaN compares false, so a sample holding one counts as unsorted (and sorts last)
+    if np.count_nonzero(vals[1:] >= vals[:-1]) < len(vals) - 1:
+        vals = np.sort(vals)
     # the two ends decide, in constant time: NaN sorts last
     if vals[0] <= 0:
         raise ValueError("tail estimation needs strictly positive values")
@@ -102,7 +109,7 @@ def hill_estimate(sample, k: int) -> TailFit:
     ``zeta = k / sum_{i<=k} (ln X_(i) - ln X_(k+1))``.
     """
     logs = np.log(_top_descending(sample, k, 1))
-    spacing_sum = float(np.sum(logs[:k]) - k * logs[k])
+    spacing_sum = float(logs[:k].sum() - k * logs[k])
     if spacing_sum <= 0:
         raise NumericalError("zero log-spacing sum: top order statistics are all equal")
     zeta = k / spacing_sum
@@ -117,14 +124,23 @@ def rank_size_estimate(sample, k: int) -> TailFit:
     ``sqrt(2/k) * zeta``.
     """
     sizes = _top_descending(sample, k, 0)
-    if np.all(sizes == sizes[0]):
+    if sizes[0] == sizes[-1]:  # descending, so all k are equal
         raise NumericalError("fewer than 2 distinct sizes among the top k values")
     x = np.log(sizes)
-    ydep = np.log(np.arange(1, k + 1) - RANK_SHIFT)
-    xc = x - x.mean()
-    zeta = -float(xc @ (ydep - ydep.mean())) / float(xc @ xc)  # minus the slope
-    intercept = float(ydep.mean() + zeta * x.mean())
+    ydep = _log_ranks(k)
+    x_mean, y_mean = x.sum() / k, ydep.sum() / k  # the bits of .mean()
+    xc = x - x_mean
+    zeta = -float(xc @ (ydep - y_mean)) / float(xc @ xc)  # minus the slope
+    intercept = float(y_mean + zeta * x_mean)
     return TailFit(zeta=zeta, se=math.sqrt(2.0 / k) * zeta, k=k, method="rank_size", log_scale=intercept)
+
+
+def _log_ranks(k: int) -> np.ndarray:
+    """``ln(rank - 1/2)`` for ranks 1..k, from the table, grown to at least twice its length when short."""
+    global _LOG_RANKS
+    if len(_LOG_RANKS) < k:
+        _LOG_RANKS = np.log(np.arange(1, max(k, 2 * len(_LOG_RANKS)) + 1) - RANK_SHIFT)
+    return _LOG_RANKS[:k]
 
 
 def k_grid(

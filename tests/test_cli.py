@@ -279,6 +279,27 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == "error: q=12 too large for T=19 (need q <= T/2)\n"
 
+    @pytest.mark.parametrize("rows, message", [
+        (20, "q=4 leaves blocks of 4 observations for 4 parameters"),
+        (30, "q=4 leaves blocks of 7 observations for 7 parameters"),
+    ], ids=("20", "30"))
+    def test_factor_blocks_no_longer_than_k_are_3(self, data_dir, tmp_path, capsys, rows, message):
+        # 19 returns in blocks of 4 for the 3F model, 29 in blocks of 7 for the 6F model
+        panel = truncated_factors(data_dir, tmp_path / "factors.csv", rows)
+        code = run(["factors", "--prices-dir", data_dir / "prices", "--index", "AVX",
+                    "--factors", panel, "--q", "4", "--out", tmp_path / "f.csv"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("rows", [36, 40])
+    def test_factor_blocks_longer_than_k_are_0(self, data_dir, tmp_path, rows):
+        panel = truncated_factors(data_dir, tmp_path / "factors.csv", rows)
+        code = run(["factors", "--prices-dir", data_dir / "prices", "--index", "AVX",
+                    "--factors", panel, "--q", "4", "--out", tmp_path / "f.csv"])
+        assert code == 0
+        assert (tmp_path / "f.csv").exists()
+
     def test_predict_q_above_half_sample_is_3(self, data_dir, capsys):
         code = run([
             "predict", "--counts", data_dir / "counts_infections.csv",
