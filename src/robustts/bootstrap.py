@@ -13,7 +13,10 @@ observed series by length.  Replicates are resampled in chunks by
 ``_resample_chunk``, the one resampler, inside ``unitroot._battery_rows``,
 the one chunk loop over the battery kernel, which serves the observed series
 too.  Both work row by row, so no bit of a report depends on how the series
-or the replicates are split into chunks.  Replication ``r`` draws its
+or the replicates are split into chunks.  A chunk's series overwrite the
+array of their multipliers, and the kernel works in the one workspace of its
+``_battery_rows`` call; nothing is shared between calls, so reports may run
+on several threads at once and keep their bits.  Replication ``r`` draws its
 multipliers from ``SeedSequence(seed + (r,))``, so results never depend on
 evaluation order either: a chunk hashes the shared seed prefix and its ``r``
 in one vectorised pass, and numpy seeds each row's ``PCG64`` from the words.
@@ -154,8 +157,10 @@ def _rademacher_rows(prefix: tuple[int, ...], rs, n: int) -> np.ndarray:
     block = np.empty((len(keys), (n + 1) // 2), dtype="<u8")
     for row, key in zip(block, keys):
         row[:] = PCG64(Hashed(key)).random_raw(len(row))
-    # little-endian words viewed as 32-bit values put each low half first
-    return (block.view("<u4")[:, :n] >> 31) * 2.0 - 1.0
+    bits = block.view("<u4")[:, :n]  # little-endian words put each low half first
+    signs = np.right_shift(bits, 31, out=bits) * 2.0
+    signs -= 1.0
+    return signs
 
 
 def rademacher(seed, n: int) -> np.ndarray:
@@ -249,13 +254,18 @@ def _resample_chunk(model: SieveModel, prefix: tuple[int, ...], rs) -> np.ndarra
     Rows are transformed independently, so a row's bits do not depend on the
     other replicates in its chunk, nor on the chunk's size.
     """
-    eps = _rademacher_rows(prefix, rs, len(model.residuals)) * model.residuals
+    eps = _rademacher_rows(prefix, rs, len(model.residuals))
+    eps *= model.residuals
+    # the series overwrite their innovations, so the chunk takes no array of its own
     if model.p == 0:
-        return np.cumsum(eps, axis=1)
+        return np.cumsum(eps, axis=1, out=eps)
     L, kernel = model._kernel
-    # copied out of the padded buffer: returning a view of it cost about 1,000 page
-    # faults per chunk of T=150 replicates in a loop of reports (counted by getrusage)
-    return np.fft.irfft(np.fft.rfft(eps, L, axis=1) * kernel, L, axis=1)[:, : eps.shape[1]].copy()
+    # a quarter at a time keeps the spectra and padded series, each twice its size, small
+    for rows in np.array_split(eps, 4):
+        spectrum = np.fft.rfft(rows, L, axis=1)
+        spectrum *= kernel
+        rows[:] = np.fft.irfft(spectrum, L, axis=1)[:, : rows.shape[1]]
+    return eps
 
 
 def _pvalue(stat: float, replicates: np.ndarray, tail: str, B: int) -> float:

@@ -26,7 +26,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import DataError
-from .series import FactorPanel, Series, first_unordered
+from .series import FactorPanel, Series, _ordered_series, first_unordered
 
 __all__ = ["ingest_counts", "ingest_prices", "ingest_rates", "ingest_factors"]
 
@@ -150,7 +150,8 @@ def ingest_counts(path) -> dict[str, Series]:
         totals[country] = values
     if not totals:
         raise DataError("no data rows", path=path)
-    return {country: Series(tuple(dates), vals) for country, vals in sorted(totals.items())}
+    dates = tuple(dates)
+    return {country: _ordered_series(dates, vals) for country, vals in sorted(totals.items())}
 
 
 def _read_table(path, header: tuple[str, ...], parse_row, skip=None) -> tuple[list[Date], list]:
@@ -198,7 +199,7 @@ def ingest_prices(path) -> Series:
     )
     if not dates:
         raise DataError("no usable price rows", path=path)
-    return Series(tuple(dates), np.array(values))
+    return _ordered_series(tuple(dates), np.array(values))
 
 
 def ingest_rates(path) -> Series:
@@ -208,7 +209,7 @@ def ingest_rates(path) -> Series:
     )
     if not dates:
         raise DataError("no rate rows", path=path)
-    return Series(tuple(dates), np.array(values))
+    return _ordered_series(tuple(dates), np.array(values))
 
 
 def ingest_factors(path) -> FactorPanel:

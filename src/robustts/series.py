@@ -3,7 +3,7 @@
 A :class:`Series` is the carrier for every dated sequence in the package:
 cumulative counts, price levels, daily returns (fractions) and annual policy
 rates (percent); a :class:`FactorPanel` holds dated factor columns.  The
-date-order check and the date joins used across the package live here.
+date-order check (once per axis) and the date joins used across the package live here.
 Transforms are pure functions returning new objects; the underlying numpy
 arrays are marked read-only so values can be shared freely.
 """
@@ -67,7 +67,7 @@ class Series:
     dates: tuple[Date, ...]
     values: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, ordered: bool = False):
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "values", _readonly(self.values))
         if len(self.dates) != len(self.values):
@@ -78,13 +78,22 @@ class Series:
             raise ValueError("series must hold at least one observation")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("series values must be finite")
-        bad = first_unordered(self.dates)
+        bad = None if ordered else first_unordered(self.dates)
         if bad is not None:
             prev, cur = self.dates[bad - 1], self.dates[bad]
             raise ValueError(f"dates must be strictly increasing ({prev} then {cur})")
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _ordered_series(dates, values) -> Series:
+    """``Series(dates, values)`` on dates already known to be strictly increasing,
+    such as a slice of a checked axis: every check but the date order's."""
+    s = object.__new__(Series)
+    s.__dict__.update(dates=dates, values=values)  # as the frozen dataclass's __init__ sets them
+    s.__post_init__(ordered=True)
+    return s
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,7 @@ def difference(s: Series, order: int) -> Series:
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmin(np.isfinite(vals)))
         raise DataError(f"difference of order {order} overflows on {s.dates[order + bad]}")
-    return Series(s.dates[order:], vals)
+    return _ordered_series(s.dates[order:], vals)
 
 
 def simple_returns(prices: Series) -> Series:
@@ -172,7 +181,7 @@ def simple_returns(prices: Series) -> Series:
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmin(np.isfinite(vals)))
         raise DataError(f"return overflows on {prices.dates[bad + 1]}")
-    return Series(prices.dates[1:], vals)
+    return _ordered_series(prices.dates[1:], vals)
 
 
 def excess_returns(returns: Series, annual_rate_pct: Series) -> Series:
@@ -182,7 +191,7 @@ def excess_returns(returns: Series, annual_rate_pct: Series) -> Series:
     converted with ``rate/100/TRADING_DAYS``.
     """
     rates = _forward_fill(annual_rate_pct, returns.dates)
-    return Series(returns.dates, returns.values - (rates / 100.0) / TRADING_DAYS)
+    return _ordered_series(returns.dates, returns.values - (rates / 100.0) / TRADING_DAYS)
 
 
 def _forward_fill(s: Series, onto: tuple[Date, ...]) -> np.ndarray:
@@ -224,4 +233,4 @@ def positive_window(s: Series) -> Series:
     if len(pos) == 0:
         raise DataError("series never becomes positive")
     start = int(pos[0])
-    return Series(s.dates[start:], s.values[start:])
+    return _ordered_series(s.dates[start:], s.values[start:])

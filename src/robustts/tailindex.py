@@ -7,7 +7,8 @@ error is ``zeta / sqrt(k)``.  Confidence bands use the normal 1.96 multiplier
 at every truncation level.
 An estimator sorts only a sample that is not already ascending, such as
 the k + 1 largest values a curve hands it, and reads ``ln(rank - 1/2)``
-from a module table grown on first use.
+from a module table grown on first use.  A curve partitions its sample and
+sorts only the largest values its grid reads.
 """
 
 from __future__ import annotations
@@ -77,16 +78,19 @@ class TailCurve:
             raise ValueError(f"largest k {ks[-1]} exceeds n-1 = {self.n - 1}")
 
 
-def _sorted_positive(sample) -> np.ndarray:
-    """The sample sorted ascending (kept if it is), checked to hold only positive finite values."""
+def _sorted_positive(sample, top: int | None = None) -> np.ndarray:
+    """The sample sorted ascending (kept if it is), checked to hold only positive finite values;
+    of an unsorted sample, only its ``top`` largest values, partitioned off and sorted."""
     vals = np.asarray(sample, dtype=float)
     if len(vals) == 0:
         raise ValueError("empty sample")
+    n, low = len(vals), vals[0]
     # a NaN compares false, so a sample holding one counts as unsorted (and sorts last)
-    if np.count_nonzero(vals[1:] >= vals[:-1]) < len(vals) - 1:
-        vals = np.sort(vals)
-    # the two ends decide, in constant time: NaN sorts last
-    if vals[0] <= 0:
+    if np.count_nonzero(vals[1:] >= vals[:-1]) < n - 1:
+        low = np.fmin.reduce(vals)  # NaN only if all are, as the sorted sample's first value
+        vals = np.sort(vals if top is None or top >= n else np.partition(vals, n - top)[n - top :])
+    # the two ends decide: NaN sorts last
+    if low <= 0:
         raise ValueError("tail estimation needs strictly positive values")
     if not vals[-1] < np.inf:
         raise ValueError("tail estimation needs finite values, got NaN or inf")
@@ -164,13 +168,16 @@ def k_grid(
 
 
 def tail_curve(sample, method: str, grid) -> TailCurve:
-    """Sort the sample once and fit each k of the grid to its ascending k+1 largest values.
+    """Sort the sample's k_max + 1 largest values once and fit each k of the grid to its ascending
+    k+1 largest values, k_max being the grid's largest k in [2, n-1].
 
     A k outside [2, n-1] gets the whole sample, so the estimator rejects it against n.
     """
-    vals = _sorted_positive(sample)
+    vals, ks = np.asarray(sample, dtype=float), [int(k) for k in grid]
+    n = len(vals)
+    top = _sorted_positive(vals, 1 + max((k for k in ks if 2 <= k < n), default=0))
     estimator = {"hill": hill_estimate, "rank_size": rank_size_estimate}.get(method)
     if estimator is None:
         raise ValueError(f"method must be 'hill' or 'rank_size', got {method!r}")
-    points = tuple(estimator(vals[-k - 1 :] if 2 <= k < len(vals) else vals, k) for k in map(int, grid))
-    return TailCurve(points=points, n=len(vals))
+    points = tuple(estimator(top[-k - 1 :] if 2 <= k < n else vals, k) for k in ks)
+    return TailCurve(points=points, n=n)

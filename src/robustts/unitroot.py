@@ -14,7 +14,10 @@ carries both demeaned levels, built from lag sums of the differences without
 the design (:func:`_lag_gram`), which serves both the MAIC search and the ADF
 fit; :func:`_battery_rows`, its one loop, calls it per chunk of series, and
 :func:`_stats` turns its rows into :class:`UnitRootStats`.  A row's bits do
-not depend on the rows sharing its call.  Series reach it through
+not depend on the rows sharing its call.  Each :func:`_battery_rows` call
+makes one :class:`_Workspace` for the kernel's series- and Gram-sized
+intermediates, written in place by every chunk; no two calls share one, so
+calls may run on several threads at once.  Series reach it through
 :mod:`robustts.bootstrap`.  The scalar formula references it is tested
 against live in ``tests/reference_unitroot.py``.
 
@@ -45,9 +48,10 @@ DEFAULT_C_BAR = -7.0
 LR_C_GRID = np.arange(0.0, 50.5, 0.5)
 MIN_BATTERY_LENGTH = 25
 # the bytes a chunk of series may hold: per series, eight series-length
-# arrays (the series, its levels and differences, the stack the level sums
-# run over, temporaries) and five of (k_max+3)^2 (the lag products, their running sums
-# and the Gram matrices)
+# arrays (the series, the workspace's two levels, lag source and three-row
+# stack the level sums run over, and the resampler's multipliers or spectra)
+# and five of (k_max+3)^2 (the workspace's lag products, sums and Gram, and
+# MAIC's bordered Gram and its factor)
 CHUNK_BYTES = 3_000_000
 
 
@@ -98,30 +102,23 @@ def _solve_normal(G: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise NumericalError("singular ADF regression") from exc
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise inner products, pairwise summed."""
-    return np.sum(a * b, axis=1)
-
-
-def _lag_design(U: np.ndarray, V: np.ndarray, P: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Observations ``lo..hi-1`` of the lag-``k`` ADF regression
-    (``_adf_design`` in ``tests/reference_unitroot.py``) for every row, as a
-    C x (k+3) x (hi-lo) stack: the OLS-demeaned level ``U``, the differences
-    lagged 1..k, the response (the difference), then the GLS-demeaned level
-    ``V``, whose differences are the same.  ``P`` is the differences after
-    ``k`` zeros, so lagged differences from before a series starts are zeros.
-
-    Variables are rows, so the batched products run on contiguous memory.
+class _Workspace(dict):
+    """The buffers of one :func:`_battery_rows` call, by name, reused by each of its chunks:
+    ``w(name, *shape)`` is a C-contiguous view of the buffer's leading elements, allocated
+    by the first (largest) chunk that asks and grown only for a larger request.  Arrays
+    that share a name must not be live at once.  No two calls share a workspace.
     """
-    C, T = U.shape
-    k = P.shape[1] - (T - 1)
-    Z = np.empty((C, k + 3, hi - lo))
-    Z[:, 0] = U[:, lo:hi]
-    for j in range(1, k + 1):
-        Z[:, j] = P[:, lo + k - j : hi + k - j]
-    Z[:, k + 1] = P[:, lo + k : hi + k]
-    Z[:, k + 2] = V[:, lo:hi]
-    return Z
+
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self or self[name].size < size:
+            self[name] = np.empty(size)
+        return self[name][:size].reshape(shape)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise inner products, pairwise summed; the products go to ``out``."""
+    return np.sum(np.multiply(a, b, out=out), axis=1)
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -130,10 +127,10 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _gram(Z: np.ndarray) -> np.ndarray:
+def _gram(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``Z Z'`` for every row: the cross-products of every pair of design
     variables, regressors and response alike."""
-    return Z @ Z.transpose(0, 2, 1)
+    return np.matmul(Z, Z.transpose(0, 2, 1), out=out)
 
 
 # per k_max, built on first use: the flat indices that lay _lag_gram's lag
@@ -159,9 +156,13 @@ def _gram_index(k: int) -> tuple[np.ndarray, np.ndarray]:
     return _GRAM_INDEX[k]
 
 
-def _lag_gram(U: np.ndarray, V: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The Gram matrix of the lag design (:func:`_lag_design`) over
-    observations ``k..T-2`` for every row, from lag sums without the design.
+def _lag_gram(U: np.ndarray, V: np.ndarray, P: np.ndarray, w: _Workspace | None = None) -> np.ndarray:
+    """The Gram matrix of the lag design over observations ``k..T-2`` for
+    every row, from lag sums without the design (``_adf_design`` in
+    ``tests/reference_unitroot.py``): the OLS-demeaned level ``U``, the
+    differences lagged 1..k, the response (the difference), then the
+    GLS-demeaned level ``V``.  ``P`` is the differences after ``k`` zeros, so
+    lagged differences from before a series starts are zeros.
 
     The lag columns are shifted copies of the differences ``d``, so only
     ``R[e] = sum_s d_s d_{s-e}`` (e = 0..k) and the level sums ``UU, UV,
@@ -171,29 +172,36 @@ def _lag_gram(U: np.ndarray, V: np.ndarray, P: np.ndarray) -> np.ndarray:
     ``h_a = d_{k-1-a}`` and ``t_a = d_{T-2-a}``; and as both levels ``X``
     have the differences ``d``, ``F(j) = sum_s X_s d_{s-j}`` is ``F(j-1) +
     X_{k-1} h_{j-1} - X_{T-2} t_{j-1} + LL[1, j]``.  Each sum is a row's
-    own, so a row's bits do not depend on the other rows.
+    own, so a row's bits do not depend on the other rows.  The stacks go to
+    ``w``'s buffers ``s``, ``g`` and ``sums``, and the Gram to ``A``.
     """
     C, T = U.shape
     k = P.shape[1] - (T - 1)
     m = k + 1
+    w = _Workspace() if w is None else w
     skew, gram = _gram_index(k)
     d = P[:, k:]
     h, t = P[:, 2 * k - 1 : k - 1 : -1], P[:, : -k - 1 : -1]
-    R = np.einsum("cnw,cn->cw", sliding_window_view(d, m, axis=1), d[:, k:])[:, ::-1]
-    X = np.stack((U[:, k : T - 1], V[:, k : T - 1], d[:, k:]), axis=1)
+    X = np.stack((U[:, k : T - 1], V[:, k : T - 1], d[:, k:]), axis=1, out=w("s", C, 3, T - 1 - k))
     S = X[:, :2] @ X.transpose(0, 2, 1)  # (U, V) against (U, V, d)
-    W = h[:, :, None] * h[:, None, :] - t[:, :, None] * t[:, None, :]
-    # L[a, e] = LL[a, a+e], summed down a
-    L = np.concatenate((R, W.reshape(C, -1), np.zeros((C, 1))), axis=1)[:, skew].reshape(C, m, m)
-    for a in range(1, m):
-        L[:, a] += L[:, a - 1]
+    # R[e], then W = h h' - t t', then a zero, gathered so that L[a, e] = LL[a, a+e]
+    lags = w("s", C, m + k * k + 1)
+    lags[:, :m] = np.einsum("cnw,cn->cw", sliding_window_view(d, m, axis=1), d[:, k:])[:, ::-1]
+    W = lags[:, m:-1].reshape(C, k, k)
+    np.multiply(h[:, :, None], h[:, None, :], out=W)
+    W -= np.multiply(t[:, :, None], t[:, None, :], out=w("g", C, k, k))
+    lags[:, -1] = 0.0
+    # L summed down a, the F rows and the level sums, as one row of sums per series
+    sums = w("sums", C, m * m + 2 * m + 3)
+    L = sums[:, : m * m].reshape(C, m, m)
+    np.cumsum(np.take(lags, skew, axis=1, out=w("g", C, m * m), mode="clip").reshape(C, m, m), axis=1, out=L)
     ends = np.stack((U[:, [k - 1, T - 2]], V[:, [k - 1, T - 2]]), axis=1)
-    F = np.empty((C, 2, m))
+    F = sums[:, m * m : -3].reshape(C, 2, m)
     F[:, :, 0] = S[:, :, 2]
     F[:, :, 1:] = ends[:, :, :1] * h[:, None] - ends[:, :, 1:] * t[:, None] + L[:, None, 1, :k]
-    F = np.cumsum(F, axis=2)
-    sums = np.concatenate((L.reshape(C, -1), F.reshape(C, -1), S[:, 0, :2], S[:, 1, 1:2]), axis=1)
-    return sums[:, gram].reshape(C, k + 3, k + 3)
+    np.cumsum(F, axis=2, out=F)
+    sums[:, -3:-1], sums[:, -1] = S[:, 0, :2], S[:, 1, 1]
+    return np.take(sums, gram, axis=1, out=w("A", C, (k + 3) ** 2), mode="clip").reshape(C, k + 3, k + 3)
 
 
 def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> np.ndarray:
@@ -215,7 +223,7 @@ def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> n
     N = T - 1 - k_max
     order = np.r_[1:m, 0]
     B = np.empty((C, m + 1, m + 1))
-    B[:, :m, :m] = G[:, order][:, :, order]
+    B[:, :m, :m] = G[:, order[:, None], order]
     B[:, :m, m] = B[:, m, :m] = g[:, order]
     B[:, m, m] = rr
     try:
@@ -241,27 +249,35 @@ def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> n
     return np.log(s2) + 2.0 * (tau + np.arange(k_max + 1)) / (T - k_max)
 
 
-def _adf_gram(A: np.ndarray, head: np.ndarray, lag: np.ndarray) -> np.ndarray:
+def _adf_gram(A: np.ndarray, head: np.ndarray, lag: np.ndarray, w: _Workspace | None = None) -> np.ndarray:
     """The bordered Gram matrix of each row's ADF regression on the GLS-demeaned
     level over ``s >= lag``, in the order (level, lags, response): the
     (GLS level, lags, response) block of the Gram ``A`` of the lag design over
     ``s >= k_max``, plus the Gram of the same rows of the design's ``head``
     observations ``s < k_max``, zeroed for ``s < lag``.  Lags beyond ``lag``
-    get zero rows and columns.
+    get zero rows and columns.  Both gathers go through ``w``'s buffer ``s``,
+    which holds the result, and the head's Gram through ``sums``.
     """
-    k_max = head.shape[2]
+    C, k_max = len(A), head.shape[2]
+    m = k_max + 2
+    w = _Workspace() if w is None else w
     rows = np.r_[k_max + 2, 1 : k_max + 2]
-    head = head[:, rows] * (np.arange(k_max) >= lag[:, None])[:, None, :]
-    out = A[:, rows][:, :, rows] + _gram(head)
-    keep = np.arange(k_max + 2) <= lag[:, None]
+    head = np.take(head, rows, axis=1, out=w("s", C, m, k_max), mode="clip")
+    head *= (np.arange(k_max) >= lag[:, None])[:, None, :]
+    head = _gram(head, w("sums", C, m, m))
+    flat = (rows[:, None] * (k_max + 3) + rows).ravel()  # A[:, rows][:, :, rows] in one gather
+    out = np.take(A.reshape(C, -1), flat, axis=1, out=w("s", C, m * m), mode="clip").reshape(C, m, m)
+    out += head
+    keep = np.arange(m) <= lag[:, None]
     keep[:, -1] = True
-    return np.where(keep[:, :, None] & keep[:, None, :], out, 0.0)
+    np.copyto(out, 0.0, where=~(keep[:, :, None] & keep[:, None, :]))
+    return out
 
 
 # an overflow shows as a non-finite Gram entry, MAIC value or statistic, all
 # checked; a factor pivot lost to rounding gives a non-positive MAIC SSR
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
+def _battery_batch(Y: np.ndarray, w: _Workspace | None = None) -> dict[str, np.ndarray]:
     """The battery on every row of a C x T matrix of series.
 
     Returns one length-C array per statistic (keyed as
@@ -282,31 +298,41 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     if T < MIN_BATTERY_LENGTH:
         raise DataError(f"battery needs at least {MIN_BATTERY_LENGTH} observations, got {T}")
     k_max = default_k_max(T)
-    U = Y - Y.mean(axis=1, keepdims=True)
-    # GLS demeaning, which no lag enters; V holds the quasi-differences first
+    w = _Workspace() if w is None else w
+    # the shared buffers at their largest first, so neither grows
+    w("s", C, 3, T - 1 - k_max), w("g", C, k_max + 3, k_max)
+    U = np.subtract(Y, Y.mean(axis=1, keepdims=True), out=w("U", C, T))
+    # GLS demeaning, which no lag enters; V holds the quasi-differences first,
+    # then their products with za, then the demeaned level
     rho = 1.0 + DEFAULT_C_BAR / T
-    V = np.empty_like(Y)
+    V = w("V", C, T)
     V[:, 0] = Y[:, 0]
-    V[:, 1:] = Y[:, 1:] - rho * Y[:, :-1]
+    np.subtract(Y[:, 1:], np.multiply(rho, Y[:, :-1], out=V[:, 1:]), out=V[:, 1:])
     za = np.full(T, 1.0 - rho)
     za[0] = 1.0
-    np.subtract(Y, (_rowdot(V, za[None, :]) / float(za @ za))[:, None], out=V)
+    np.subtract(Y, (_rowdot(V, za, V) / float(za @ za))[:, None], out=V)
     # the differences after k_max zeros, the lags' one source
-    P = np.zeros((C, k_max + T - 1))
+    P = w("P", C, k_max + T - 1)
+    P[:, :k_max] = 0.0
     D = np.subtract(U[:, 1:], U[:, :-1], out=P[:, k_max:])
 
     # MAIC on the OLS-demeaned data over the common sample t > k_max+1: the
     # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix
     m = k_max + 1
-    A = _lag_gram(U, V, P)
+    A = _lag_gram(U, V, P, w)
     M = _finite(A[:, : m + 1, : m + 1])
     lag = np.argmin(_finite(_maic(M[:, :m, :m], M[:, :m, m], M[:, m, m], T, k_max)), axis=1)
 
+    # the design's first k_max observations, variables as rows
+    head = w("g", C, k_max + 3, k_max)
+    head[:, 0], head[:, m], head[:, m + 1] = U[:, :k_max], D[:, :k_max], V[:, :k_max]
+    for j in range(1, m):
+        head[:, j] = P[:, k_max - j : 2 * k_max - j]
     # one stacked ADF fit with every row at its own lag: a row's lag
     # variables beyond its own lag have zero Gram rows and columns; a unit
     # diagonal there keeps the solve regular and gives zero coefficients, so
     # the cost does not depend on the lags chosen
-    A = _finite(_adf_gram(A, _lag_design(U, V, P, 0, k_max), lag))
+    A = _finite(_adf_gram(A, head, lag, w))
     G, g, rr = A[:, :m, :m], A[:, :m, m:], A[:, m, m]
     diag = np.arange(m)
     G[:, diag, diag] += diag > lag[:, None]
@@ -327,7 +353,8 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     if not np.all(denom > 0):
         raise NumericalError("autoregressive spectral density denominator vanished")
     s2_ar = sigma2 / denom
-    kappa = _rowdot(V[:, :-1], V[:, :-1]) / T**2
+    s = w("s", C, T - 1)
+    kappa = _rowdot(V[:, :-1], V[:, :-1], s) / T**2
     if np.any(kappa == 0.0):
         raise NumericalError("sum of squared lagged values is zero")
     mz_alpha = (V[:, -1] ** 2 / T - s2_ar) / (2.0 * kappa)
@@ -339,7 +366,7 @@ def _battery_batch(Y: np.ndarray) -> dict[str, np.ndarray]:
     # LR profile in closed form: with h = c/T the AR(1) residual is D + h*L,
     # so no large sums are subtracted from each other
     L = U[:, :-1]
-    s_dd, s_dl, s_ll = _rowdot(D, D), _rowdot(D, L), _rowdot(L, L)
+    s_dd, s_dl, s_ll = _rowdot(D, D, s), _rowdot(D, L, s), _rowdot(L, L, s)
     h = LR_C_GRID / T
     sig2 = (s_dd[:, None] + 2.0 * h * s_dl[:, None] + h**2 * s_ll[:, None]) / (T - 1)
     if not np.all(sig2 > 0):
@@ -367,7 +394,8 @@ def _battery_rows(n: int, T: int, stack) -> dict[str, np.ndarray]:
     """
     T = max(T, MIN_BATTERY_LENGTH)
     size = max(1, CHUNK_BYTES // (8 * (8 * T + 5 * (default_k_max(T) + 3) ** 2)))
-    chunks = [_battery_batch(stack(lo, min(lo + size, n))) for lo in range(0, n, size)]
+    w = _Workspace()
+    chunks = [_battery_batch(stack(lo, min(lo + size, n)), w) for lo in range(0, n, size)]
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
 

@@ -5,13 +5,13 @@ filter with ``scipy.signal.lfilter`` and cumulates them, as the recursion is
 written.  The library computes the same series by one FFT convolution with
 the cumulated impulse response (:func:`robustts.bootstrap._resample_chunk`);
 the tests hold it to this filter.  The multipliers come from numpy's own
-``Generator.integers``, not from the library's draw.
+``Generator.integers``, not from the library's draw.  scipy is imported only
+when a sieve has coefficients to filter through, so the module loads without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from robustts.bootstrap import SieveModel
 
@@ -26,6 +26,8 @@ def resample_chunk(model: SieveModel, seeds) -> np.ndarray:
     if model.p == 0:
         dstar = eps
     else:
+        from scipy.signal import lfilter
+
         a = np.concatenate(([1.0], -np.asarray(model.phi)))
         dstar = lfilter([1.0], a, eps, axis=1)
     return np.cumsum(dstar, axis=1)

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -229,6 +231,7 @@ class TestResampleChunk:
 
     @staticmethod
     def assert_matches_filter(model, prefix, rs):
+        pytest.importorskip("scipy.signal")
         got = bt._resample_chunk(model, prefix, rs)
         want = reference_chunk(model, [prefix + (r,) for r in rs])
         assert got.shape == want.shape
@@ -372,7 +375,7 @@ def replicate_stats(monkeypatch, y, B, seed):
     """The p-values of a report and every battery row it computed: the
     observed series, then every replicate it ranked."""
     outs, real = [], unitroot._battery_batch
-    monkeypatch.setattr(unitroot, "_battery_batch", lambda Y: outs.append(real(Y)) or outs[-1])
+    monkeypatch.setattr(unitroot, "_battery_batch", lambda *args: outs.append(real(*args)) or outs[-1])
     rep = unit_root_report(y, B=B, seed=seed)
     monkeypatch.setattr(unitroot, "_battery_batch", real)
     return rep.p_values, {name: np.concatenate([o[name] for o in outs]).tobytes() for name in outs[0]}
@@ -403,6 +406,29 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak <= unitroot.CHUNK_BYTES, peak
+
+
+class TestThreads:
+    def test_two_threads_get_the_serial_bits(self):
+        # each report's chunk loop owns its workspace, so reports running at
+        # once on two threads, through the FFT resampler (lag > 0) and at two
+        # lengths, keep the bits they get one after the other
+        rng = np.random.default_rng(33)
+        ma = [np.cumsum(u[1:] - 0.8 * u[:-1]) for u in (rng.standard_normal(T + 1) for T in (150, 1000))]
+        runs = [(ma[0], (5, 0)), (ma[1], (5, 1))]
+        serial = [unit_root_report(y, B=999, seed=seed) for y, seed in runs]
+        assert all(rep.stats.lag > 0 for rep in serial)
+        start = threading.Barrier(len(runs))
+
+        def run(y, seed):
+            start.wait()
+            return [unit_root_report(y, B=999, seed=seed) for _ in range(2)]
+
+        with ThreadPoolExecutor(len(runs)) as pool:
+            threaded = list(pool.map(run, *zip(*runs)))
+        for want, got in zip(serial, threaded):
+            for rep in got:
+                assert rep.stats == want.stats and rep.p_values == want.p_values
 
 
 def walks(lengths, seed=8):

@@ -134,6 +134,26 @@ class TestTailCurveBits:
         x, grid = tied_sample(n)
         assert [p.zeta for p in tail_curve(x, "hill", grid).points] == [hill_zeta(x, k) for k in grid]
 
+    @pytest.mark.parametrize("n", [40, 41, 57, 1000, 12_345, 100_000])
+    def test_partial_sort_gives_the_full_sort_curve(self, n):
+        # the grid reads at most the largest 15% plus one, so only those are sorted
+        x, grid = tied_sample(n)
+        full = np.sort(x)
+        for method, est in (("hill", tailindex.hill_estimate), ("rank_size", tailindex.rank_size_estimate)):
+            assert tail_curve(x, method, grid).points == tuple(est(full[-k - 1 :], k) for k in grid)
+
+    @pytest.mark.parametrize("n", [40, 41, 57, 1000, 12_345, 100_000])
+    @pytest.mark.parametrize("bad", [[0.0], [np.nan], [np.inf], [np.nan, 0.0], [np.inf, -1.0], [np.nan, np.inf]], ids=str)
+    def test_partial_sort_raises_the_full_sort_error(self, n, bad):
+        # a zero or negative value is named before a NaN or inf, wherever they sit
+        x, grid = tied_sample(n)
+        x[np.random.default_rng(n).choice(n, len(bad), replace=False)] = bad
+        with pytest.raises(ValueError) as full:
+            _sorted_positive(x)
+        for method in ("hill", "rank_size"):
+            with pytest.raises(ValueError, match=f"^{full.value}$"):
+                tail_curve(x, method, grid)
+
     def test_constant_top_is_named(self):
         x, _ = tied_sample(1000)
         with pytest.raises(NumericalError, match="fewer than 2 distinct sizes"):

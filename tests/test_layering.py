@@ -85,6 +85,7 @@ PRIVATE_IMPORTS = {
         "unitroot": {"_battery_rows", "_stats", "_values"},
     },
     "regression": {"series": {"_readonly"}},
+    "ingest": {"series": {"_ordered_series"}},
 }
 
 # spelled as string constants in unitroot.py alone (``STAT_TAILS``)

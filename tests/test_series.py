@@ -222,3 +222,49 @@ class TestPositiveWindow:
     def test_never_positive(self):
         with pytest.raises(DataError):
             positive_window(make_series([0.0, 0.0]))
+
+
+class TestOrderCheckedOnce:
+    """An axis is checked for order once: slices of it, and the dates of a
+    file that were checked as it was read, are not checked again."""
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        import robustts.series as series
+
+        calls, real = [], series.first_unordered
+        monkeypatch.setattr(series, "first_unordered", lambda dates: calls.append(len(dates)) or real(dates))
+        return calls
+
+    def test_transforms_do_not_recheck(self, monkeypatch):
+        s = make_series(np.r_[0.0, 0.0, np.arange(1.0, 40.0) ** 3])
+        calls = self.count_checks(monkeypatch)
+        y = difference(difference(positive_window(s), 1), 1)
+        positive_part(y)
+        rates = Series(s.dates, np.full(len(s), 2.0))
+        excess_returns(simple_returns(positive_window(s)), rates)
+        assert calls == [len(s)]
+
+    def test_counts_file_checks_its_header_once(self, monkeypatch, data_dir):
+        import robustts.ingest as ingest
+
+        checked = []
+        real = ingest.first_unordered
+        monkeypatch.setattr(ingest, "first_unordered", lambda dates: checked.append(len(dates)) or real(dates))
+        calls = self.count_checks(monkeypatch)
+        counts = ingest.ingest_counts(data_dir / "counts_infections.csv")
+        assert len(counts) > 1 and len(checked) == 1 and calls == []
+
+    def test_unchecked_series_keeps_every_other_check(self):
+        from robustts.series import _ordered_series
+
+        dates = make_series([1.0, 2.0]).dates
+        with pytest.raises(ValueError, match="^dates and values differ in length \\(2 vs 1\\)$"):
+            _ordered_series(dates, [1.0])
+        with pytest.raises(ValueError, match="^series must hold at least one observation$"):
+            _ordered_series((), [])
+        with pytest.raises(ValueError, match="^series values must be finite$"):
+            _ordered_series(dates, [1.0, np.inf])
+        s = _ordered_series(list(dates), [1.0, 2.0])
+        assert s.dates == dates and isinstance(s.dates, tuple)
+        assert s.values.tolist() == [1.0, 2.0] and not s.values.flags.writeable

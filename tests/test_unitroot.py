@@ -331,12 +331,13 @@ class TestBatteryKernel:
 
 
 def lag_gram_arguments(monkeypatch, Y):
-    """The levels and lag source that the kernel passes to ``_lag_gram`` on ``Y``."""
+    """The levels and lag source that the kernel passes to ``_lag_gram`` on ``Y``
+    (its workspace, the last argument, left out)."""
     seen, real = [], unitroot._lag_gram
     monkeypatch.setattr(unitroot, "_lag_gram", lambda *args: seen.append(args) or real(*args))
     _battery_batch(Y)
     monkeypatch.undo()
-    return seen[0]
+    return seen[0][:3]
 
 
 def flat_start(T):
@@ -452,6 +453,28 @@ class TestBatteryRows:
         assert all(hi > lo for lo, hi in ranges)
         if chunk_bytes < 2 * row_bytes(T):
             assert len(ranges) == n
+        assert bits(out) == bits(_battery_batch(Y))
+
+
+    @pytest.mark.parametrize("T", [150, 1000])
+    def test_each_buffer_is_allocated_once_per_call(self, monkeypatch, rng, T):
+        # the first chunk sizes the workspace and the others, the partial last
+        # one included, write into it: no buffer is allocated twice
+        allocated = []
+
+        class Counting(unitroot._Workspace):
+            def __call__(self, name, *shape):
+                before = self.get(name)
+                view = super().__call__(name, *shape)
+                if self[name] is not before:
+                    allocated.append(name)
+                return view
+
+        monkeypatch.setattr(unitroot, "_Workspace", Counting)
+        monkeypatch.setattr(unitroot, "CHUNK_BYTES", 5 * row_bytes(T))
+        Y = np.cumsum(rng.standard_normal((23, T)), axis=1)
+        out = unitroot._battery_rows(len(Y), T, lambda lo, hi: Y[lo:hi])
+        assert sorted(allocated) == sorted(set(allocated)) == ["A", "P", "U", "V", "g", "s", "sums"]
         assert bits(out) == bits(_battery_batch(Y))
 
 
