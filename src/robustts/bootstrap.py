@@ -292,7 +292,8 @@ def _report(v: np.ndarray, stats: UnitRootStats, B: int, seed_parts: tuple[int, 
 
 def _reports(ys, B: int, seeds) -> list[UnitRootReport]:
     """The report of each ``ys[i]`` with seed ``seeds[i]``; the seeds are read
-    after ``B`` is checked, and only when ``B > 0``.  The observed batteries
+    after ``B`` is checked, and only when ``B > 0``, and every series' values
+    are checked before any battery runs.  The observed batteries
     run with one ``_battery_rows`` per length, whose error is that of
     whichever chunk fails first; should one fail, the series run again one
     at a time, in order, so the first failing series raises its own error,

@@ -140,12 +140,20 @@ FACTOR_MODELS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _regression_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``y`` as float arrays, a T x k matrix and a length-T vector
+    that hold no NaN or infinite value."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise DataError(f"regression data need a T x k X and a length-T y, got {X.shape} and {y.shape}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise DataError("regression data hold NaN or infinite values")
+    return X, y
+
+
 def ols(X, y) -> OlsFit:
     """Least-squares fit of y on a full-column-rank regressor matrix."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be two-dimensional")
+    X, y = _regression_data(X, y)
     T, k = X.shape
     if T <= k:
         raise ValueError(f"need more observations than parameters ({T} <= {k})")
@@ -406,8 +414,7 @@ def _group_estimates(X, y, qs) -> np.ndarray:
     ``R = [[R11, r], [0, .]]`` and its estimates ``R11^-1 r``.  Rank follows
     ``lstsq``'s rule on the singular values of R11 (every block is longer than k).
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = _regression_data(X, y)
     T, k = X.shape
     partitions = []
     for q in qs:
@@ -531,7 +538,8 @@ def factor_report(excess: Series, panel: FactorPanel, model: str, qs=DEFAULT_QS[
     fit = ols(X, y)
     classical_t, classical_p = classical_tstats(fit)
     hac = hac_inference(fit)
-    grouped_by_q = {int(q): grouped_ols(X, y, int(q)) for q in qs}
+    qs = tuple(int(q) for q in qs)
+    grouped_by_q = dict(zip(qs, _group_inference(_group_estimates(X, y, qs), qs))) if qs else {}
 
     names = list(factors) + ["Alpha"]
     order = list(range(1, len(factors) + 1)) + [0]

@@ -9,10 +9,11 @@ OLS-demeaned data; the statistics themselves use GLS-demeaned data with that
 shared lag.
 
 This module is the kernel alone: :func:`_battery_batch` evaluates the
-battery on a stack of series from one Gram matrix of a lag design that
-carries both demeaned levels, built from lag sums of the differences without
-the design (:func:`_lag_gram`), which serves both the MAIC search and the ADF
-fit; :func:`_battery_rows`, its one loop, calls it per chunk of series, and
+battery on a stack of series from one row of lag sums of the differences and
+both demeaned levels (:func:`_lag_sums`), built without the lag design; the
+MAIC search and the ADF fit each gather their own Gram block from it, in the
+order :func:`_gram_index` lays out.  :func:`_battery_rows`, its one loop,
+calls it per chunk of series, and
 :func:`_stats` turns its rows into :class:`UnitRootStats`.  A row's bits do
 not depend on the rows sharing its call.  Each :func:`_battery_rows` call
 makes one :class:`_Workspace` for the kernel's series- and Gram-sized
@@ -50,8 +51,8 @@ MIN_BATTERY_LENGTH = 25
 # the bytes a chunk of series may hold: per series, eight series-length
 # arrays (the series, the workspace's two levels, lag source and three-row
 # stack the level sums run over, and the resampler's multipliers or spectra)
-# and five of (k_max+3)^2 (the workspace's lag products, sums and Gram, and
-# MAIC's bordered Gram and its factor)
+# and five of (k_max+3)^2 (the workspace's lag products, their skew gather,
+# sums and MAIC block, and that block's factor)
 CHUNK_BYTES = 3_000_000
 
 
@@ -90,9 +91,12 @@ def default_k_max(T: int) -> int:
 
 
 def _values(y) -> np.ndarray:
-    if isinstance(y, Series):
-        return np.asarray(y.values, dtype=float)
-    return np.asarray(y, dtype=float)
+    v = np.asarray(y.values if isinstance(y, Series) else y, dtype=float)
+    if v.ndim != 1:
+        raise DataError(f"a series must be one-dimensional, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DataError("series holds NaN or infinite values")
+    return v
 
 
 def _solve_normal(G: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -133,36 +137,40 @@ def _gram(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(Z, Z.transpose(0, 2, 1), out=out)
 
 
-# per k_max, built on first use: the flat indices that lay _lag_gram's lag
-# products out by lag difference, and that gather its Gram from one row of sums
-_GRAM_INDEX: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GRAM_INDEX: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # per k_max, built on first use
 
 
-def _gram_index(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _gram_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one statement of the Gram's variable order: flat indices into a
+    row of :func:`_lag_sums` at ``k_max = k`` that lay out its lag products by
+    lag difference, that gather MAIC's bordered block in the order (lags 1..k,
+    OLS level U, response), and the ADF fit's in the order (GLS level V, lags
+    1..k, response)."""
     if k not in _GRAM_INDEX:
         m = k + 1
         # [a, e] takes R[e] for a = 0, then W[a-1, a-1+e] while a-1+e < k,
         # else the zero after W
         a, e = np.ogrid[:m, :m]
         skew = np.where(a == 0, e, m + np.where(a + e <= k, (a - 1) * (k + 1) + e, k * k))
-        # the design positions as lags, the response being lag 0, or as
-        # levels (-1); and the levels as 0 (U) or 1 (V)
-        lag = np.r_[-1, 1:m, 0, -1]
-        level = np.r_[0, np.zeros(m, int), 1]
-        p, q = np.ogrid[: k + 3, : k + 3]
-        lo, hi, lv = np.minimum(lag[p], lag[q]), np.maximum(lag[p], lag[q]), level[p] + level[q]
-        gram = np.where(lo >= 0, lo * m + hi - lo, m * m + np.where(hi >= 0, m * lv + hi, 2 * m + lv))
-        _GRAM_INDEX[k] = skew.ravel(), gram.ravel()
+        # a block's variables as lags, the response being lag 0, or as the
+        # levels U (-1) and V (-2); a level's F row and a level pair count the Vs
+        def block(var):
+            p, q, v = var[:, None], var, (var == -2).astype(int)
+            lo, hi, lv = np.minimum(p, q), np.maximum(p, q), v[:, None] + v
+            return np.where(lo >= 0, lo * m + hi - lo, m * m + np.where(hi >= 0, m * lv + hi, 2 * m + lv)).ravel()
+        _GRAM_INDEX[k] = skew.ravel(), block(np.r_[1:m, -1, 0]), block(np.r_[-2, 1:m, 0])
     return _GRAM_INDEX[k]
 
 
-def _lag_gram(U: np.ndarray, V: np.ndarray, P: np.ndarray, w: _Workspace | None = None) -> np.ndarray:
-    """The Gram matrix of the lag design over observations ``k..T-2`` for
-    every row, from lag sums without the design (``_adf_design`` in
-    ``tests/reference_unitroot.py``): the OLS-demeaned level ``U``, the
-    differences lagged 1..k, the response (the difference), then the
+def _lag_sums(U: np.ndarray, V: np.ndarray, P: np.ndarray, w: _Workspace) -> np.ndarray:
+    """Every cross-product of the lag design over observations ``k..T-2`` for
+    every row, as one row of sums built without the design (``_adf_design``
+    in ``tests/reference_unitroot.py``): of the OLS-demeaned level ``U``, the
+    differences lagged 1..k, the response (the difference) and the
     GLS-demeaned level ``V``.  ``P`` is the differences after ``k`` zeros, so
-    lagged differences from before a series starts are zeros.
+    lagged differences from before a series starts are zeros.  A row holds
+    ``L[a, e] = LL[a, a+e]`` of lags 0..k (the response is lag 0), ``F(j)`` of
+    ``U`` and of ``V``, then ``UU, UV, VV``, in :func:`_gram_index`'s layout.
 
     The lag columns are shifted copies of the differences ``d``, so only
     ``R[e] = sum_s d_s d_{s-e}`` (e = 0..k) and the level sums ``UU, UV,
@@ -173,13 +181,12 @@ def _lag_gram(U: np.ndarray, V: np.ndarray, P: np.ndarray, w: _Workspace | None 
     have the differences ``d``, ``F(j) = sum_s X_s d_{s-j}`` is ``F(j-1) +
     X_{k-1} h_{j-1} - X_{T-2} t_{j-1} + LL[1, j]``.  Each sum is a row's
     own, so a row's bits do not depend on the other rows.  The stacks go to
-    ``w``'s buffers ``s``, ``g`` and ``sums``, and the Gram to ``A``.
+    ``w``'s buffers ``s`` and ``g``, and the sums to ``sums``.
     """
     C, T = U.shape
     k = P.shape[1] - (T - 1)
     m = k + 1
-    w = _Workspace() if w is None else w
-    skew, gram = _gram_index(k)
+    skew = _gram_index(k)[0]
     d = P[:, k:]
     h, t = P[:, 2 * k - 1 : k - 1 : -1], P[:, : -k - 1 : -1]
     X = np.stack((U[:, k : T - 1], V[:, k : T - 1], d[:, k:]), axis=1, out=w("s", C, 3, T - 1 - k))
@@ -201,31 +208,26 @@ def _lag_gram(U: np.ndarray, V: np.ndarray, P: np.ndarray, w: _Workspace | None 
     F[:, :, 1:] = ends[:, :, :1] * h[:, None] - ends[:, :, 1:] * t[:, None] + L[:, None, 1, :k]
     np.cumsum(F, axis=2, out=F)
     sums[:, -3:-1], sums[:, -1] = S[:, 0, :2], S[:, 1, 1]
-    return np.take(sums, gram, axis=1, out=w("A", C, (k + 3) ** 2), mode="clip").reshape(C, k + 3, k + 3)
+    return sums
 
 
-def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> np.ndarray:
-    """MAIC of lags 0..k_max for every row, a C x (k_max+1) array.
-
-    The lag-k fit solves the leading (k+1) x (k+1) block of the Gram matrix
-    ``G`` of (level, lagged differences) against their cross-products ``g``
-    with the response, whose sum of squares is ``rr``.  One Cholesky factor
-    of the bordered Gram, reordered as (lags, level, response), gives every
-    lag's fit without a solve: with ``L`` its lag block, its level and
-    response rows are ``p = L^-1 G_lag,level`` and ``q = L^-1 g_lag``, and
-    with prefix sums ``P_k, Q_k, R_k`` of ``p^2, q^2, p*q`` over the first k
-    lags the level coefficient is ``b0_k = (g0 - R_k) / (G00 - P_k)`` and
-    ``SSR_k = rr - Q_k - (g0 - R_k) * b0_k``.  Should the factor fail or an
-    SSR come out non-positive, the lags are fitted one solve at a time
-    instead, which raises the scalar reference's message with its lag.
+def _maic(B: np.ndarray, T: int, k_max: int) -> np.ndarray:
+    """MAIC of lags 0..k_max for every row, a C x (k_max+1) array, from the
+    bordered Gram ``B`` of the lag search in the order (lags 1..k_max, level,
+    response); the lag-k fit regresses the response on the level and the
+    first k lags.  With ``L`` the lag block of ``B``'s Cholesky factor, its
+    level and response rows are ``p = L^-1 G_lag,level`` and ``q = L^-1
+    g_lag``; with prefix sums ``P_k, Q_k, R_k`` of ``p^2, q^2, p*q`` over the
+    first k lags, the level's sums ``G00, g0`` and the response's ``rr``, the
+    level coefficient is ``b0_k = (g0 - R_k) / (G00 - P_k)`` and ``SSR_k = rr
+    - Q_k - (g0 - R_k) * b0_k``, so no lag needs a solve.  Should the factor
+    fail or an SSR come out non-positive, the lags are fitted one solve at a
+    time on the level-first view of ``B`` instead, which raises the scalar
+    reference's message with its lag.
     """
-    C, m = g.shape
+    m = k_max + 1
     N = T - 1 - k_max
-    order = np.r_[1:m, 0]
-    B = np.empty((C, m + 1, m + 1))
-    B[:, :m, :m] = G[:, order[:, None], order]
-    B[:, :m, m] = B[:, m, :m] = g[:, order]
-    B[:, m, m] = rr
+    G00, g0, rr = B[:, k_max, k_max : m], B[:, k_max, m:], B[:, m, m:]
     try:
         F = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
@@ -233,41 +235,37 @@ def _maic(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> n
     if F is not None:
         p, q = F[:, k_max, :k_max], F[:, m, :k_max]
         P, Q, R = np.pad(np.cumsum(np.stack((p * p, q * q, p * q)), axis=2), ((0, 0), (0, 0), (1, 0)))
-        r = g[:, :1] - R
-        b0 = r / (G[:, :1, 0] - P)
-        ssr = rr[:, None] - Q - r * b0
+        r = g0 - R
+        b0 = r / (G00 - P)
+        ssr = rr - Q - r * b0
     if F is None or not np.all(ssr > 0):
+        order = np.r_[k_max, :k_max]
+        G, g = B[:, order[:, None], order], B[:, order, m]
         ssr, b0 = np.empty_like(g), np.empty_like(g)
         for k in range(k_max + 1):
             b = _solve_normal(G[:, : k + 1, : k + 1], g[:, : k + 1, None])[:, :, 0]
-            ssr[:, k] = rr - _rowdot(b, g[:, : k + 1])
+            ssr[:, k] = rr[:, 0] - _rowdot(b, g[:, : k + 1])
             if not np.all(ssr[:, k] > 0):
                 raise NumericalError(f"degenerate ADF regression at lag {k}")
             b0[:, k] = b[:, 0]
     s2 = ssr / N
-    tau = b0**2 * G[:, :1, 0] / s2
+    tau = b0**2 * G00 / s2
     return np.log(s2) + 2.0 * (tau + np.arange(k_max + 1)) / (T - k_max)
 
 
-def _adf_gram(A: np.ndarray, head: np.ndarray, lag: np.ndarray, w: _Workspace | None = None) -> np.ndarray:
+def _adf_gram(sums: np.ndarray, head: np.ndarray, lag: np.ndarray, w: _Workspace) -> np.ndarray:
     """The bordered Gram matrix of each row's ADF regression on the GLS-demeaned
-    level over ``s >= lag``, in the order (level, lags, response): the
-    (GLS level, lags, response) block of the Gram ``A`` of the lag design over
-    ``s >= k_max``, plus the Gram of the same rows of the design's ``head``
-    observations ``s < k_max``, zeroed for ``s < lag``.  Lags beyond ``lag``
-    get zero rows and columns.  Both gathers go through ``w``'s buffer ``s``,
-    which holds the result, and the head's Gram through ``sums``.
+    level over ``s >= lag``, in the order (level, lags, response): that block
+    of the lag design over ``s >= k_max``, gathered from the row ``sums``,
+    plus the Gram of the design's ``head`` observations ``s < k_max``, rows in
+    the same order, zeroed for ``s < lag``.  Lags beyond ``lag`` get zero rows
+    and columns.  The block goes to ``w``'s buffer ``s``, which holds the
+    result, the zeroed head to ``A`` and its Gram to ``sums``, once read.
     """
-    C, k_max = len(A), head.shape[2]
-    m = k_max + 2
-    w = _Workspace() if w is None else w
-    rows = np.r_[k_max + 2, 1 : k_max + 2]
-    head = np.take(head, rows, axis=1, out=w("s", C, m, k_max), mode="clip")
-    head *= (np.arange(k_max) >= lag[:, None])[:, None, :]
-    head = _gram(head, w("sums", C, m, m))
-    flat = (rows[:, None] * (k_max + 3) + rows).ravel()  # A[:, rows][:, :, rows] in one gather
-    out = np.take(A.reshape(C, -1), flat, axis=1, out=w("s", C, m * m), mode="clip").reshape(C, m, m)
-    out += head
+    C, m, k_max = head.shape
+    out = np.take(sums, _gram_index(k_max)[2], axis=1, out=w("s", C, m * m), mode="clip").reshape(C, m, m)
+    head = np.multiply(head, (np.arange(k_max) >= lag[:, None])[:, None, :], out=w("A", C, m, k_max))
+    out += _gram(head, w("sums", C, m, m))
     keep = np.arange(m) <= lag[:, None]
     keep[:, -1] = True
     np.copyto(out, 0.0, where=~(keep[:, :, None] & keep[:, None, :]))
@@ -277,20 +275,21 @@ def _adf_gram(A: np.ndarray, head: np.ndarray, lag: np.ndarray, w: _Workspace | 
 # an overflow shows as a non-finite Gram entry, MAIC value or statistic, all
 # checked; a factor pivot lost to rounding gives a non-positive MAIC SSR
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _battery_batch(Y: np.ndarray, w: _Workspace | None = None) -> dict[str, np.ndarray]:
+def _battery_batch(Y: np.ndarray, w: _Workspace) -> dict[str, np.ndarray]:
     """The battery on every row of a C x T matrix of series.
 
     Returns one length-C array per statistic (keyed as
     :meth:`UnitRootStats.as_dict`) plus ``lag`` and ``s2_ar``.  The formulas
     are those of ``select_lag_maic``, ``gls_demean``, ``_adf_fit``,
     ``mz_msb_mzt``, ``mp_test`` and ``lr_test`` in
-    ``tests/reference_unitroot.py``, evaluated on one Gram matrix of a lag
-    design carrying both demeaned levels, built from lag sums
-    (:func:`_lag_gram`), which serves the MAIC search (:func:`_maic`) and the
-    ADF fit (:func:`_adf_gram`), so a row agrees with them to rounding.  Of
-    the design only its first ``k_max`` observations are built.  Every step
-    works row by row (no product spans rows), so a row's bits do not depend
-    on the other rows.  Their ``NumericalError`` checks and those of
+    ``tests/reference_unitroot.py``, evaluated on one row of lag sums of a
+    lag design carrying both demeaned levels (:func:`_lag_sums`), from which
+    the MAIC search (:func:`_maic`) and the ADF fit (:func:`_adf_gram`) each
+    gather their own Gram block, so a row agrees with them to rounding.  Of
+    the design only its first ``k_max`` observations are built, and every
+    intermediate goes to the workspace ``w``.  Every step works row by row
+    (no product spans rows), so a row's bits do not depend on the other
+    rows.  Their ``NumericalError`` checks and those of
     :class:`UnitRootStats` are kept: one failing on any row raises the same
     message.
     """
@@ -298,9 +297,9 @@ def _battery_batch(Y: np.ndarray, w: _Workspace | None = None) -> dict[str, np.n
     if T < MIN_BATTERY_LENGTH:
         raise DataError(f"battery needs at least {MIN_BATTERY_LENGTH} observations, got {T}")
     k_max = default_k_max(T)
-    w = _Workspace() if w is None else w
-    # the shared buffers at their largest first, so neither grows
-    w("s", C, 3, T - 1 - k_max), w("g", C, k_max + 3, k_max)
+    m = k_max + 1
+    # the shared buffers at their largest first (the three-row stack or ADF block, the skew gather)
+    w("s", C, max(3 * (T - 1 - k_max), (m + 1) ** 2)), w("g", C, m, m)
     U = np.subtract(Y, Y.mean(axis=1, keepdims=True), out=w("U", C, T))
     # GLS demeaning, which no lag enters; V holds the quasi-differences first,
     # then their products with za, then the demeaned level
@@ -316,23 +315,22 @@ def _battery_batch(Y: np.ndarray, w: _Workspace | None = None) -> dict[str, np.n
     P[:, :k_max] = 0.0
     D = np.subtract(U[:, 1:], U[:, :-1], out=P[:, k_max:])
 
-    # MAIC on the OLS-demeaned data over the common sample t > k_max+1: the
-    # lag-k fit solves the leading (k+1) x (k+1) block of one Gram matrix
-    m = k_max + 1
-    A = _lag_gram(U, V, P, w)
-    M = _finite(A[:, : m + 1, : m + 1])
-    lag = np.argmin(_finite(_maic(M[:, :m, :m], M[:, :m, m], M[:, m, m], T, k_max)), axis=1)
+    # MAIC on the OLS-demeaned data over the common sample t > k_max+1, from
+    # one bordered Gram block
+    sums = _lag_sums(U, V, P, w)
+    B = np.take(sums, _gram_index(k_max)[1], axis=1, out=w("A", C, (m + 1) ** 2), mode="clip")
+    lag = np.argmin(_finite(_maic(_finite(B).reshape(C, m + 1, m + 1), T, k_max)), axis=1)
 
-    # the design's first k_max observations, variables as rows
-    head = w("g", C, k_max + 3, k_max)
-    head[:, 0], head[:, m], head[:, m + 1] = U[:, :k_max], D[:, :k_max], V[:, :k_max]
+    # the design's first k_max observations in the ADF fit's order, variables as rows
+    head = w("g", C, m + 1, k_max)
+    head[:, 0], head[:, m] = V[:, :k_max], D[:, :k_max]
     for j in range(1, m):
         head[:, j] = P[:, k_max - j : 2 * k_max - j]
     # one stacked ADF fit with every row at its own lag: a row's lag
     # variables beyond its own lag have zero Gram rows and columns; a unit
     # diagonal there keeps the solve regular and gives zero coefficients, so
     # the cost does not depend on the lags chosen
-    A = _finite(_adf_gram(A, head, lag, w))
+    A = _finite(_adf_gram(sums, head, lag, w))
     G, g, rr = A[:, :m, :m], A[:, :m, m:], A[:, m, m]
     diag = np.arange(m)
     G[:, diag, diag] += diag > lag[:, None]

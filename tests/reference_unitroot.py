@@ -193,8 +193,8 @@ def lag_design_gram(U: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
     OLS-demeaned row of ``U`` (its level and lags 1..k), then its response,
     then the GLS-demeaned level of ``V``.
 
-    :func:`robustts.unitroot._lag_gram` builds the same matrix from lag sums
-    without the design.
+    :func:`robustts.unitroot._lag_sums` sums the same cross-products without
+    the design, and the kernel gathers two blocks of this matrix from them.
     """
     T = U.shape[1]
     out = []
@@ -206,11 +206,14 @@ def lag_design_gram(U: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
 
 
 def maic_per_lag(G: np.ndarray, g: np.ndarray, rr: np.ndarray, T: int, k_max: int) -> np.ndarray:
-    """MAIC of lags 0..k_max on a stack of Gram blocks, one solve per lag.
+    """MAIC of lags 0..k_max on a stack of Gram blocks, one solve per lag:
+    ``G`` of the regressors (level, lags 1..k_max), ``g`` of their products
+    with the response and ``rr`` of its sum of squares.
 
-    The arguments are those of :func:`robustts.unitroot._maic`, which takes
-    every lag from one Cholesky factor instead; this loop is its fallback, so
-    the two must agree bit for bit when the factor fails.
+    :func:`robustts.unitroot._maic` takes the same matrix bordered by ``g``
+    and ``rr``, lags first, and fits every lag from one Cholesky factor
+    instead; this loop is its fallback, so the two must agree bit for bit
+    when the factor fails.
     """
     N = T - 1 - k_max
     maic = np.empty_like(g)
@@ -229,8 +232,8 @@ def adf_gram_two_designs(V: np.ndarray, lag: np.ndarray, k_max: int) -> np.ndarr
     """The bordered Gram matrix of every row's ADF regression on the
     GLS-demeaned rows ``V`` at its own ``lag``, from a design of ``V`` itself.
 
-    The result is that of :func:`robustts.unitroot._adf_gram`, which reads the
-    same matrix off the Gram of the kernel's lag design instead.  Here
+    The result is that of :func:`robustts.unitroot._adf_gram`, which gathers
+    the same matrix from the lag sums of the kernel's lag design instead.  Here
     a design (level, lags 1..k_max, response) of ``V`` alone is built over
     every observation, a row's observations before its sample are zeroed, and
     so are its lag variables beyond its own lag, before one full-sample Gram

@@ -354,7 +354,7 @@ class TestBootstrapPvalues:
         # 25 observations: enough for the battery, too few for a bootstrap
         y = np.cumsum(rng.standard_normal(25))
         rep = unit_root_report(y, B=0, seed=None)
-        assert rep.stats == unitroot._stats(unitroot._battery_batch(y[None, :]))[0]
+        assert rep.stats == unitroot._stats(unitroot._battery_batch(y[None, :], unitroot._Workspace()))[0]
         assert rep.p_values == {} and rep.result.B == 0
         monkeypatch.undo()
         with pytest.raises(DataError, match="bootstrap series"):

@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.stats import norm, t as student_t
 
 import robustts.regression as regression
 from robustts.errors import DataError, NumericalError
@@ -71,6 +70,27 @@ class TestOls:
         X = rng.standard_normal((3, 3))
         with pytest.raises(ValueError):
             ols(X, np.arange(3.0))
+
+    def test_nan_response_is_a_data_error(self, rng):
+        y = rng.standard_normal(50)
+        y[7] = np.nan
+        with pytest.raises(DataError, match="^regression data hold NaN or infinite values$"):
+            ols(design(rng.standard_normal(50)), y)
+
+    @pytest.mark.parametrize("shapes", [((50,), (50,)), ((50, 2), (49,)), ((50, 2), (50, 2))])
+    def test_malformed_shapes_are_a_data_error(self, rng, shapes):
+        X, y = (rng.standard_normal(shape) for shape in shapes)
+        got = f"got {shapes[0]} and {shapes[1]}"
+        message = "^" + re.escape(f"regression data need a T x k X and a length-T y, {got}") + "$"
+        for fit in (ols, lambda X, y: grouped_ols(X, y, 4)):
+            with pytest.raises(DataError, match=message):
+                fit(X, y)
+
+    def test_infinite_regressor_is_a_data_error(self, rng):
+        x = rng.standard_normal(50)
+        x[7] = np.inf
+        with pytest.raises(DataError, match="^regression data hold NaN or infinite values$"):
+            ols(design(x), rng.standard_normal(50))
 
 
 class TestQsKernel:
@@ -275,6 +295,7 @@ class TestTwoSidedP:
         assert np.all(got[~normal] < np.finfo(float).tiny)
 
     def test_normal(self):
+        norm = pytest.importorskip("scipy.stats").norm
         self.assert_close(_two_sided_p(self.X), 2.0 * norm.sf(self.X))
 
     @pytest.mark.parametrize("df", list(range(1, 17)) + [39, 40, 41, 60, 134, 243, 4993, 4999])
@@ -286,7 +307,7 @@ class TestTwoSidedP:
                 s = np.sqrt(2.0 + self.X**2)
                 want = np.where(np.isinf(s), 0.0, 2.0 / (s * (s + self.X)))
             else:
-                want = 2.0 * student_t.sf(self.X, df)
+                want = 2.0 * pytest.importorskip("scipy.stats").t.sf(self.X, df)
         got = _two_sided_p(self.X, df)
         self.assert_close(got, want)
         assert np.all(np.diff(got) <= 0.0)
@@ -347,7 +368,7 @@ class TestImTstat:
         assert g.t_stat == pytest.approx(3.873, abs=1e-3)
         assert (g.q, g.df) == (4, 3)
         # rejects at 5%: |t| beyond the 97.5% Student-t quantile with 3 df
-        crit = float(student_t.ppf(0.975, 3))
+        crit = float(pytest.importorskip("scipy.stats").t.ppf(0.975, 3))
         assert crit == pytest.approx(3.182, abs=1e-3)
         assert abs(g.t_stat) > crit
         assert g.p_value < 0.05 < g.max_valid_level
@@ -396,6 +417,16 @@ class TestGroupedRegression:
         with pytest.raises(NumericalError, match="group 2"):
             grouped_ols(design(x), rng.standard_normal(40), 4)
 
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_non_finite_data_is_a_data_error(self, rng, where):
+        X, y = design(rng.standard_normal(80)), rng.standard_normal(80)
+        if where == "X":
+            X[30, 1] = -np.inf
+        else:
+            y[30] = np.nan
+        with pytest.raises(DataError, match="^regression data hold NaN or infinite values$"):
+            grouped_ols(X, y, 4)
+
     def test_y_rescaling_leaves_t(self, rng):
         pair = self.make_pair(rng, beta=0.4)
         a = grouped_ols(design(pair.x), pair.y, 4)[1].t_stat
@@ -419,6 +450,46 @@ class TestEquivariance:
         a = grouped_ols(design(x), y, 8)[1].t_stat
         b = grouped_ols(design(x + 100.0), y, 8)[1].t_stat
         assert b == pytest.approx(a, rel=1e-6)
+
+
+class TestPowerOfTwoScale:
+    """Scaling the response by 2^k scales every estimate by exactly 2^k and
+    leaves every t-statistic and p-value bit for bit as it was."""
+
+    KS = [-400, -100, 100, 400]
+
+    @staticmethod
+    def assert_grouped(scaled, base, k):
+        assert scaled.keys() == base.keys()
+        for q, g in base.items():
+            assert scaled[q].group_estimates == tuple(math.ldexp(e, k) for e in g.group_estimates)
+            assert (scaled[q].t_stat, scaled[q].p_value) == (g.t_stat, g.p_value)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_predictive_report(self, k):
+        rng = np.random.default_rng(67)
+        x = ar1_path(rng, 240, 0.6)
+        y = 0.1 + 0.3 * x + rng.standard_normal(240)
+        dates = make_series(y).dates
+        base = predictive_report(PairedSample(y, x, dates, ()))
+        scaled = predictive_report(PairedSample(np.ldexp(y, k), x, dates, ()))
+        assert (scaled.alpha, scaled.beta) == (math.ldexp(base.alpha, k), math.ldexp(base.beta, k))
+        assert scaled.hac.t_stats.tobytes() == base.hac.t_stats.tobytes()
+        assert scaled.hac.p_values.tobytes() == base.hac.p_values.tobytes()
+        self.assert_grouped(scaled.grouped, base.grouped, k)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_factor_report(self, k):
+        rng = np.random.default_rng(68)
+        dates, panel = make_panel(rng)
+        y = 0.8 * panel.columns["Mkt.RF"] + rng.standard_normal(len(dates)) * 0.01
+        base = factor_report(Series(dates, y), panel, "6F", qs=(4, 8))
+        scaled = factor_report(Series(dates, np.ldexp(y, k)), panel, "6F", qs=(4, 8))
+        for s, b in zip(scaled.coefficients, base.coefficients):
+            assert s.estimate == math.ldexp(b.estimate, k), s.name
+            for field in ("classical_t", "classical_p", "hac_t", "hac_p"):
+                assert getattr(s, field) == getattr(b, field), (s.name, field)
+            self.assert_grouped(s.grouped, b.grouped, k)
 
 
 class TestPredictiveReport:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import robustts.unitroot as unitroot
-from robustts.errors import NumericalError
-from robustts.bootstrap import unit_root_report
-from robustts.unitroot import UnitRootStats, _battery_batch, default_k_max
+from robustts.errors import DataError, NumericalError
+from robustts.bootstrap import unit_root_report, unit_root_reports
+from robustts.unitroot import UnitRootStats, _battery_batch, _Workspace, default_k_max
 
 from reference_unitroot import (
     _adf_fit,
@@ -221,7 +221,24 @@ class TestBattery:
         y = random_walk(rng, 120)
         stats = unit_root_report(y, B=0).stats
         assert stats.mz_t == stats.mz_alpha * stats.msb
-        assert stats.mz_t == _battery_batch(y[None, :])["MZt"][0]
+        assert stats.mz_t == _battery_batch(y[None, :], _Workspace())["MZt"][0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_are_a_data_error(self, rng, bad):
+        y = random_walk(rng, 100)
+        y[40] = bad
+        with pytest.raises(DataError, match="^series holds NaN or infinite values$"):
+            unit_root_report(y, B=0)
+        with pytest.raises(DataError, match="^series holds NaN or infinite values$"):
+            unit_root_reports([random_walk(rng, 100), y], B=99)
+        # finite values too large for the battery's sums still overflow
+        with pytest.raises(NumericalError, match="^unit-root battery overflows"):
+            unit_root_report(random_walk(rng, 1000) * 1e160, B=0)
+
+    def test_two_dimensional_values_are_a_data_error(self, rng):
+        Y = np.cumsum(rng.standard_normal((2, 100)), axis=1)
+        with pytest.raises(DataError, match=r"^a series must be one-dimensional, got shape \(2, 100\)$"):
+            unit_root_report(Y, B=0)
 
     def test_minimum_length(self, rng):
         with pytest.raises(ValueError, match="at least 25"):
@@ -285,7 +302,7 @@ class TestBatteryKernel:
     @pytest.mark.parametrize("T", [25, 150, *NEIGHBOURS, 1000])
     def test_matches_scalar_references(self, T):
         Y = dgp_stack(T)
-        out = _battery_batch(Y)
+        out = _battery_batch(Y, _Workspace())
         assert len(np.unique(out["lag"])) > 1  # one stacked ADF fit over mixed lags
         for i, v in enumerate(Y):
             lag, ref = reference_battery(v)
@@ -296,9 +313,9 @@ class TestBatteryKernel:
     @pytest.mark.parametrize("T", [25, 150, 1000])
     def test_stack_matches_rows_alone(self, T):
         Y = dgp_stack(T, per_dgp=8)
-        out = _battery_batch(Y)
+        out = _battery_batch(Y, _Workspace())
         for i, v in enumerate(Y):
-            alone = _battery_batch(v[None, :])
+            alone = _battery_batch(v[None, :], _Workspace())
             for name, col in out.items():
                 assert col[i] == pytest.approx(alone[name][0], **TOL), (T, i, name)
 
@@ -312,7 +329,7 @@ class TestBatteryKernel:
         message = re.escape(str(scalar.value))
         Y = np.vstack([random_walk(rng, 150), bad, random_walk(rng, 150)])
         with pytest.raises(NumericalError, match=f"^{message}$"):
-            _battery_batch(Y)
+            _battery_batch(Y, _Workspace())
         with pytest.raises(NumericalError, match=f"^{message}$"):
             unit_root_report(bad, B=0)
 
@@ -327,15 +344,15 @@ class TestBatteryKernel:
         Y = np.vstack([random_walk(rng, 150), row, random_walk(rng, 150)])
         message = "^unit-root battery overflows: the series values are too large$"
         with pytest.raises(NumericalError, match=message):
-            _battery_batch(Y)
+            _battery_batch(Y, _Workspace())
 
 
-def lag_gram_arguments(monkeypatch, Y):
-    """The levels and lag source that the kernel passes to ``_lag_gram`` on ``Y``
+def lag_sums_arguments(monkeypatch, Y):
+    """The levels and lag source that the kernel passes to ``_lag_sums`` on ``Y``
     (its workspace, the last argument, left out)."""
-    seen, real = [], unitroot._lag_gram
-    monkeypatch.setattr(unitroot, "_lag_gram", lambda *args: seen.append(args) or real(*args))
-    _battery_batch(Y)
+    seen, real = [], unitroot._lag_sums
+    monkeypatch.setattr(unitroot, "_lag_sums", lambda *args: seen.append(args) or real(*args))
+    _battery_batch(Y, _Workspace())
     monkeypatch.undo()
     return seen[0][:3]
 
@@ -353,22 +370,27 @@ class TestLagGram:
         # flat counts, whose head lag products are all zero, and a walk at
         # scale 1e150, whose Gram nears 1e305 without overflowing
         Y = np.vstack([walks, flat_start(T), walks[0] * 1e150])
-        U, V, P = lag_gram_arguments(monkeypatch, Y)
+        U, V, P = lag_sums_arguments(monkeypatch, Y)
         k = default_k_max(T)
         assert P.shape == (len(Y), k + T - 1)
-        got, want = unitroot._lag_gram(U, V, P), lag_design_gram(U, V, k)
+        sums, want = unitroot._lag_sums(U, V, P, _Workspace()), lag_design_gram(U, V, k)
         # the two sum in another order: 1e-14 relative to each row's max |G|
         scale = np.abs(want).max(axis=(1, 2))
-        assert np.all(np.isfinite(got))
-        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-14 * scale), T
+        # of the design's (U, lags, response, V): MAIC's block (lags, U,
+        # response) and the ADF fit's (V, lags, response)
+        orders = np.r_[1 : k + 1, 0, k + 1], np.r_[k + 2, 1 : k + 2]
+        for index, order in zip(unitroot._gram_index(k)[1:], orders):
+            got = sums[:, index].reshape(len(Y), k + 2, k + 2)
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got - want[:, order[:, None], order]).max(axis=(1, 2)) <= 1e-14 * scale), T
 
     @pytest.mark.parametrize("T", [25, 150, 1000])
     def test_stack_matches_rows_alone_bit_for_bit(self, monkeypatch, T):
         Y = np.vstack([dgp_stack(T, per_dgp=4), flat_start(T)])
-        U, V, P = lag_gram_arguments(monkeypatch, Y)
-        stacked = unitroot._lag_gram(U, V, P)
+        U, V, P = lag_sums_arguments(monkeypatch, Y)
+        stacked = unitroot._lag_sums(U, V, P, _Workspace())
         for i in range(len(Y)):
-            alone = unitroot._lag_gram(U[i : i + 1], V[i : i + 1], P[i : i + 1])
+            alone = unitroot._lag_sums(U[i : i + 1], V[i : i + 1], P[i : i + 1], _Workspace())
             assert alone.tobytes() == stacked[i : i + 1].tobytes(), (T, i)
 
     def test_overflow_still_raises(self, rng):
@@ -376,17 +398,19 @@ class TestLagGram:
         Y = np.vstack([random_walk(rng, 1000), random_walk(rng, 1000) * 1e160])
         message = "^unit-root battery overflows: the series values are too large$"
         with pytest.raises(NumericalError, match=message):
-            _battery_batch(Y)
+            _battery_batch(Y, _Workspace())
 
 
 def adf_gram_arguments(monkeypatch, Y):
-    """The lag design's Gram and the design's head columns that the kernel
-    passes to ``_adf_gram`` on ``Y``."""
+    """The lag design's row of sums and the design's head that the kernel
+    passes to ``_adf_gram`` on ``Y``, copied before the call reuses their
+    workspace buffers."""
     seen, real = [], unitroot._adf_gram
-    monkeypatch.setattr(unitroot, "_adf_gram", lambda *args: seen.append(args) or real(*args))
-    _battery_batch(Y)
+    spy = lambda sums, head, *rest: seen.append((sums.copy(), head.copy())) or real(sums, head, *rest)
+    monkeypatch.setattr(unitroot, "_adf_gram", spy)
+    _battery_batch(Y, _Workspace())
     monkeypatch.undo()
-    return seen[0][:2]
+    return seen[0]
 
 
 class TestAdfGram:
@@ -394,15 +418,15 @@ class TestAdfGram:
     def test_matches_two_designs_at_every_lag(self, monkeypatch, T):
         Y = dgp_stack(T, per_dgp=8)
         k_max = default_k_max(T)
-        A, head = adf_gram_arguments(monkeypatch, Y)
-        assert A.shape[1:] == (k_max + 3, k_max + 3) and head.shape[1:] == (k_max + 3, k_max)
+        sums, head = adf_gram_arguments(monkeypatch, Y)
+        assert sums.shape[1] == (k_max + 2) ** 2 + 2 and head.shape[1:] == (k_max + 2, k_max)
         V = np.array([gls_demean(y) for y in Y])
         # every lag for all rows, from l = 0 (the whole head) to l = k_max
         # (an empty head), then a mix of lags across rows
         lags = [np.full(len(Y), l) for l in range(k_max + 1)]
         lags.append(np.random.default_rng(T).integers(0, k_max + 1, len(Y)))
         for lag in lags:
-            got, want = unitroot._adf_gram(A, head, lag), adf_gram_two_designs(V, lag, k_max)
+            got, want = unitroot._adf_gram(sums, head, lag, _Workspace()), adf_gram_two_designs(V, lag, k_max)
             assert np.array_equal(got == 0.0, want == 0.0), (T, lag[0])
             # the two sum in another order, and a cross-product can cancel far
             # below its terms, so 1e-12 relative to sqrt(G_ii * G_jj)
@@ -424,11 +448,11 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("T", [30, 60, 150, *NEIGHBOURS, 999, 1000])
     def test_random_chunks_match_rows_alone(self, T):
         Y = dgp_stack(T, per_dgp=8)
-        alone = concat([_battery_batch(Y[i : i + 1]) for i in range(len(Y))])
+        alone = concat([_battery_batch(Y[i : i + 1], _Workspace()) for i in range(len(Y))])
         rng = np.random.default_rng(T)
         for _ in range(3):
             cuts = np.sort(rng.choice(np.arange(1, len(Y)), size=rng.integers(1, 8), replace=False))
-            chunks = concat([_battery_batch(part) for part in np.split(Y, cuts)])
+            chunks = concat([_battery_batch(part, _Workspace()) for part in np.split(Y, cuts)])
             assert bits(chunks) == bits(alone), (T, cuts)
 
 
@@ -453,10 +477,10 @@ class TestBatteryRows:
         assert all(hi > lo for lo, hi in ranges)
         if chunk_bytes < 2 * row_bytes(T):
             assert len(ranges) == n
-        assert bits(out) == bits(_battery_batch(Y))
+        assert bits(out) == bits(_battery_batch(Y, _Workspace()))
 
 
-    @pytest.mark.parametrize("T", [150, 1000])
+    @pytest.mark.parametrize("T", [25, 40, 150, 1000])
     def test_each_buffer_is_allocated_once_per_call(self, monkeypatch, rng, T):
         # the first chunk sizes the workspace and the others, the partial last
         # one included, write into it: no buffer is allocated twice
@@ -475,16 +499,24 @@ class TestBatteryRows:
         Y = np.cumsum(rng.standard_normal((23, T)), axis=1)
         out = unitroot._battery_rows(len(Y), T, lambda lo, hi: Y[lo:hi])
         assert sorted(allocated) == sorted(set(allocated)) == ["A", "P", "U", "V", "g", "s", "sums"]
-        assert bits(out) == bits(_battery_batch(Y))
+        assert bits(out) == bits(_battery_batch(Y, _Workspace()))
 
 
 def maic_arguments(monkeypatch, Y):
-    """The arguments the kernel passes to ``_maic`` on ``Y``."""
+    """The arguments the kernel passes to ``_maic`` on ``Y``, the bordered
+    Gram copied before the kernel reuses its workspace buffer."""
     seen, real = [], unitroot._maic
-    monkeypatch.setattr(unitroot, "_maic", lambda *args: seen.append(args) or real(*args))
-    _battery_batch(Y)
+    monkeypatch.setattr(unitroot, "_maic", lambda B, *rest: seen.append((B.copy(), *rest)) or real(B, *rest))
+    _battery_batch(Y, _Workspace())
     monkeypatch.undo()
     return seen[0]
+
+
+def maic_loop(B, T, k_max):
+    """``maic_per_lag`` on ``_maic``'s bordered Gram (lags, level, response),
+    read level first."""
+    m, order = k_max + 1, np.r_[k_max, :k_max]
+    return maic_per_lag(B[:, order[:, None], order], B[:, order, m], B[:, m, m], T, k_max)
 
 
 def cholesky_fails(*args, **kwargs):
@@ -499,7 +531,7 @@ class TestMaicFactor:
     @pytest.mark.parametrize("T", [25, 150, 1000])
     def test_matches_per_lag_loop(self, monkeypatch, T):
         args = maic_arguments(monkeypatch, dgp_stack(T))
-        factor, loop = unitroot._maic(*args), maic_per_lag(*args)
+        factor, loop = unitroot._maic(*args), maic_loop(*args)
         assert np.array_equal(np.argmin(factor, axis=1), np.argmin(loop, axis=1))
         # MAIC crosses zero, so relative to max(|value|, 1) as TOL
         assert np.all(np.abs(factor - loop) <= 1e-12 * np.maximum(np.abs(loop), 1.0))
@@ -509,7 +541,7 @@ class TestMaicFactor:
         # the fallback loop solves, so this fails should the factor be
         # skipped or its SSRs come out non-positive
         args = maic_arguments(monkeypatch, dgp_stack(T))
-        loop = maic_per_lag(*args)
+        loop = maic_loop(*args)
         monkeypatch.setattr(np.linalg, "solve", solve_fails)
         factor = unitroot._maic(*args)
         assert np.all(np.abs(factor - loop) <= 1e-12 * np.maximum(np.abs(loop), 1.0))
@@ -517,11 +549,11 @@ class TestMaicFactor:
     @pytest.mark.parametrize("T", [25, 150, 1000])
     def test_failed_factor_gives_the_loop_bit_for_bit(self, monkeypatch, T):
         Y = dgp_stack(T, per_dgp=8)
-        monkeypatch.setattr(unitroot, "_maic", maic_per_lag)
-        loop = _battery_batch(Y)
+        monkeypatch.setattr(unitroot, "_maic", maic_loop)
+        loop = _battery_batch(Y, _Workspace())
         monkeypatch.undo()
         monkeypatch.setattr(np.linalg, "cholesky", cholesky_fails)
-        assert bits(_battery_batch(Y)) == bits(loop)
+        assert bits(_battery_batch(Y, _Workspace())) == bits(loop)
 
     @pytest.mark.parametrize("bad", [np.full(150, 3.5), np.arange(150) % 2.0])
     def test_failed_factor_keeps_the_scalar_message(self, monkeypatch, rng, bad):
@@ -530,13 +562,15 @@ class TestMaicFactor:
         monkeypatch.setattr(np.linalg, "cholesky", cholesky_fails)
         Y = np.vstack([random_walk(rng, 150), bad])
         with pytest.raises(NumericalError, match=f"^{re.escape(str(scalar.value))}$"):
-            _battery_batch(Y)
+            _battery_batch(Y, _Workspace())
 
-    @pytest.mark.parametrize("maic", [unitroot._maic, maic_per_lag], ids=["factor", "loop"])
+    @pytest.mark.parametrize("maic", [unitroot._maic, maic_loop], ids=["factor", "loop"])
     def test_non_positive_ssr_names_its_lag(self, maic):
-        # G = I factors fine; the second row's lag-1 SSR is 1.5 - 1 - 1 < 0
-        G = np.stack([np.eye(3), np.eye(3)])
-        g = np.array([[0.1, 0.1, 0.1], [1.0, 1.0, 1.0]])
-        rr = np.array([1.5, 1.5])
+        # the regressors' Gram is I, bordered by their products with the
+        # response, 0.1 and 1.0, and its sum of squares 1.5: the second
+        # row's lag-1 SSR is 1.5 - 1 - 1 < 0
+        B = np.stack([np.eye(4), np.eye(4)])
+        B[:, :3, 3] = B[:, 3, :3] = [[0.1], [1.0]]
+        B[:, 3, 3] = 1.5
         with pytest.raises(NumericalError, match="^degenerate ADF regression at lag 1$"):
-            maic(G, g, rr, 100, 2)
+            maic(B, 100, 2)
