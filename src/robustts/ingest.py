@@ -44,7 +44,7 @@ US_DATE = "(1[0-2]|0[1-9]|[1-9])/(3[01]|[12][0-9]|0[1-9]|[1-9])/([0-9]{2})"
 
 def _read_rows(path) -> list[list[str]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(str(exc), path=path) from exc
@@ -154,13 +154,14 @@ def ingest_counts(path) -> dict[str, Series]:
     return {country: _ordered_series(dates, vals) for country, vals in sorted(totals.items())}
 
 
-def _read_table(path, header: tuple[str, ...], parse_row, skip=None) -> tuple[list[Date], list]:
-    """Dates and per-row values of a long-format file with ISO dates first.
+def _read_table(path, header: tuple[str, ...], columns, empty: str, skip=None) -> tuple[tuple, np.ndarray]:
+    """Dates and value columns of a long-format file with ISO dates first.
 
     Checks the header, the field count of every non-empty row, each date and
     strict date order.  Rows for which ``skip(row)`` is true are dropped before
-    their date is parsed; ``parse_row(row, line)`` turns each kept row into
-    its values.
+    their date is parsed; of each kept row, the fields ``columns`` are parsed,
+    stripped, as finite numbers.  Returns the dates as a tuple and the values as
+    one float array with a column per field; with no kept row, ``DataError(empty)``.
     """
     rows = _read_rows(path)
     if tuple(rows[0]) != header:
@@ -170,59 +171,43 @@ def _read_table(path, header: tuple[str, ...], parse_row, skip=None) -> tuple[li
             line=1,
             field=",".join(rows[0]),
         )
-    date_field = header[0]
     dates: list[Date] = []
     values = []
     for line_no, row in _data_rows(rows, path):
         if skip is not None and skip(row):
             continue
-        d = _parse_date(row[0], "%Y-%m-%d", path, line_no, date_field)
+        d = _parse_date(row[0], "%Y-%m-%d", path, line_no, header[0])
         if dates and d <= dates[-1]:
             raise DataError(
                 f"dates out of order ({dates[-1]} then {d})",
                 path=path,
                 line=line_no,
-                field=date_field,
+                field=header[0],
             )
         dates.append(d)
-        values.append(parse_row(row, line_no))
-    return dates, values
+        for c in columns:
+            values.append(_parse_number(row[c].strip(), path, line_no, header[c]))
+    if not dates:
+        raise DataError(empty, path=path)
+    return tuple(dates), np.array(values).reshape(len(dates), len(columns))
 
 
 def ingest_prices(path) -> Series:
     """Read adjusted closes from a Yahoo-style daily price file."""
     dates, values = _read_table(
-        path,
-        PRICES_HEADER,
-        lambda row, line: _parse_number(row[5].strip(), path, line, "Adj Close"),
+        path, PRICES_HEADER, (5,), "no usable price rows",
         skip=lambda row: row[5].strip().lower() in ("", "null"),
     )
-    if not dates:
-        raise DataError("no usable price rows", path=path)
-    return _ordered_series(tuple(dates), np.array(values))
+    return _ordered_series(dates, values[:, 0])
 
 
 def ingest_rates(path) -> Series:
     """Read an annual-percent policy rate file."""
-    dates, values = _read_table(
-        path, RATES_HEADER, lambda row, line: _parse_number(row[1], path, line, "rate_pct")
-    )
-    if not dates:
-        raise DataError("no rate rows", path=path)
-    return _ordered_series(tuple(dates), np.array(values))
+    dates, values = _read_table(path, RATES_HEADER, (1,), "no rate rows")
+    return _ordered_series(dates, values[:, 0])
 
 
 def ingest_factors(path) -> FactorPanel:
     """Read a daily factor panel; percent values become fractions."""
-    names = FACTORS_HEADER[1:]
-
-    def parse_row(row, line):
-        return [_parse_number(raw, path, line, name) / 100.0 for name, raw in zip(names, row[1:])]
-
-    dates, rows = _read_table(path, FACTORS_HEADER, parse_row)
-    if not dates:
-        raise DataError("no factor rows", path=path)
-    return FactorPanel(
-        dates=tuple(dates),
-        columns={name: np.array(col) for name, col in zip(names, zip(*rows))},
-    )
+    dates, values = _read_table(path, FACTORS_HEADER, range(1, len(FACTORS_HEADER)), "no factor rows")
+    return FactorPanel(dates=dates, columns=dict(zip(FACTORS_HEADER[1:], values.T / 100.0)))

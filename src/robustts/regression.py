@@ -311,6 +311,8 @@ def long_run_variance(scores, bandwidth: float) -> np.ndarray:
     V = np.asarray(scores, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
+    if not np.all(np.isfinite(V)):
+        raise NumericalError("QS long-run variance needs finite regression scores")
     T = V.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         WV = V
@@ -379,6 +381,8 @@ def im_tstat(group_estimates) -> GroupInference:
     est = np.asarray(group_estimates, dtype=float)
     if len(est) < 2:
         raise ValueError(f"need at least 2 group estimates, got {len(est)}")
+    if not np.all(np.isfinite(est)):
+        raise DataError("group estimates hold NaN or infinite values")
     return _group_inference(est[:, None], (len(est),))[0][0]
 
 

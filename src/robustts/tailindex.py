@@ -82,6 +82,8 @@ def _sorted_positive(sample, top: int | None = None) -> np.ndarray:
     """The sample sorted ascending (kept if it is), checked to hold only positive finite values;
     of an unsorted sample, only its ``top`` largest values, partitioned off and sorted."""
     vals = np.asarray(sample, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError(f"a tail sample must be one-dimensional, got shape {vals.shape}")
     if len(vals) == 0:
         raise ValueError("empty sample")
     n, low = len(vals), vals[0]
@@ -174,7 +176,7 @@ def tail_curve(sample, method: str, grid) -> TailCurve:
     A k outside [2, n-1] gets the whole sample, so the estimator rejects it against n.
     """
     vals, ks = np.asarray(sample, dtype=float), [int(k) for k in grid]
-    n = len(vals)
+    n = vals.size  # not len(): _sorted_positive names the shape of a sample that is not 1-D
     top = _sorted_positive(vals, 1 + max((k for k in ks if 2 <= k < n), default=0))
     estimator = {"hill": hill_estimate, "rank_size": rank_size_estimate}.get(method)
     if estimator is None:

@@ -13,6 +13,8 @@ from robustts.cli import main
 from robustts.errors import DataError
 from robustts.report import Table
 
+COUNTS_HEADER = "Province/State,Country/Region,Lat,Long,1/22/20"
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -103,6 +105,7 @@ class TestExitCodes:
         ("1,4", "q values must be >= 2"),
         ("4,4", "q values must not repeat"),
         ("4,8,4", "q values must not repeat"),
+        ("4,x", "argument --q: bad q list '4,x'"),
     ])
     def test_bad_q_is_usage_error(self, data_dir, tmp_path, capsys, qs, message):
         out = tmp_path / "pred.csv"
@@ -115,6 +118,64 @@ class TestExitCodes:
         assert err.startswith("usage: robustts predict")
         assert message in err
         assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["unitroot", "--counts", data_dir / "counts_infections.csv", "--B", "0", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: robustts unitroot")
+        assert err.endswith("error: --seed must be non-negative\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ": empty file"),
+        ("Province/State,Country/Region,Lat,Long\n,X,0,0\n", ", line 1: no date columns"),
+        (f"{COUNTS_HEADER}\n,X,0,0,1\nA, ,0,0,2\n", ", line 3, field 'Country/Region': empty country name"),
+        (f"{COUNTS_HEADER}\n\n", ": no data rows"),
+    ], ids=("empty", "no-dates", "no-country", "no-rows"))
+    def test_unusable_counts_file_is_3(self, tmp_path, capsys, text, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(text, encoding="utf-8")
+        assert run(["unitroot", "--counts", counts, "--B", "0"]) == 3
+        assert capsys.readouterr().err == f"error: file {counts}{message}\n"
+
+    @pytest.mark.parametrize("name, text, argv, message", [
+        ("prices/Arcadia_AVX.csv",
+         "Date,Open,High,Low,Close,Adj Close,Volume\n2020-01-02,null,null,null,null,null,null\n",
+         ["factors", "--prices-dir", "{tmp}/prices", "--factors", "{data}/factors.csv"],
+         "no usable price rows"),
+        ("rates.csv", "date,rate_pct\n",
+         ["predict", "--counts", "{data}/counts_infections.csv", "--prices-dir", "{data}/prices",
+          "--rates", "{tmp}/rates.csv"],
+         "no rate rows"),
+        ("factors.csv", "date,Mkt.RF,SMB,HML,MOM,RMW,CMA,RF\n\n",
+         ["factors", "--prices-dir", "{data}/prices", "--index", "AVX", "--factors", "{tmp}/factors.csv"],
+         "no factor rows"),
+    ], ids=("prices", "rates", "factors"))
+    def test_long_format_file_with_no_kept_row_is_3(
+        self, data_dir, tmp_path, capsys, name, text, argv, message
+    ):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        assert run([a.format(tmp=tmp_path, data=data_dir) for a in argv]) == 3
+        assert capsys.readouterr().err == f"error: file {path}: {message}\n"
+
+    def test_empty_prices_dir_is_3(self, data_dir, tmp_path, capsys):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        assert run(["factors", "--prices-dir", prices, "--factors", data_dir / "factors.csv"]) == 3
+        assert capsys.readouterr().err == f"error: no price files in {prices}\n"
+
+    def test_price_file_name_without_underscore_is_3(self, data_dir, tmp_path, capsys):
+        prices = tmp_path / "prices"
+        prices.mkdir()
+        (prices / "AVX.csv").write_bytes((data_dir / "prices" / "Arcadia_AVX.csv").read_bytes())
+        assert run(["factors", "--prices-dir", prices, "--factors", data_dir / "factors.csv"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: file {prices / 'AVX.csv'}, field 'file name': "
+            "price file name must be <Country>_<Index>.csv\n"
+        )
 
     def test_data_error_is_3_and_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -579,6 +640,14 @@ class TestUnitrootCommand:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[2] == ",,,,,,"
+
+    def test_byte_order_mark_counts_file_writes_the_same_table(self, data_dir, tmp_path):
+        plain = data_dir / "counts_infections.csv"
+        bom = tmp_path / "counts_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for counts, out in ((plain, tmp_path / "plain.csv"), (bom, tmp_path / "bom.csv")):
+            assert run(["unitroot", "--counts", counts, "--B", "0", "--out", out]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_markdown_format(self, data_dir, tmp_path):
         out = tmp_path / "ur.md"

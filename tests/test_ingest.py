@@ -5,6 +5,7 @@ import pytest
 
 from robustts.errors import DataError
 from robustts.ingest import _parse_date, ingest_counts, ingest_factors, ingest_prices, ingest_rates
+from robustts.series import FactorPanel
 
 COUNTS_HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20"
 
@@ -143,6 +144,40 @@ class TestIngestRates:
         with pytest.raises(DataError) as err:
             ingest_rates(p)
         assert "rate_pct" in str(err.value) and "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("read, text, field", [
+    (ingest_prices, "Date,Open,High,Low,Close,Adj Close,Volume\n2020-01-02,1,1,1,1, zzz ,10\n", "Adj Close"),
+    (ingest_rates, "date,rate_pct\n2020-01-02, zzz \n", "rate_pct"),
+    (ingest_factors, "date,Mkt.RF,SMB,HML,MOM,RMW,CMA,RF\n2020-01-02,1,1, zzz ,1,1,1,1\n", "HML"),
+], ids=("prices", "rates", "factors"))
+def test_padded_bad_number_is_quoted_stripped(tmp_path, read, text, field):
+    p = write(tmp_path, "t.csv", text)
+    with pytest.raises(DataError) as err:
+        read(p)
+    assert str(err.value) == f"file {p}, line 2, field {field!r}: unparseable number 'zzz'"
+
+
+def contents(read):
+    """Dates and value bytes of whatever an ingest function returned."""
+    if isinstance(read, dict):
+        return {name: contents(s) for name, s in read.items()}
+    if isinstance(read, FactorPanel):
+        return read.dates, {name: col.tobytes() for name, col in read.columns.items()}
+    return read.dates, read.values.tobytes()
+
+
+@pytest.mark.parametrize("name, read", [
+    ("counts_infections.csv", ingest_counts),
+    ("prices/Arcadia_AVX.csv", ingest_prices),
+    ("rates.csv", ingest_rates),
+    ("factors.csv", ingest_factors),
+], ids=("counts", "prices", "rates", "factors"))
+def test_byte_order_mark_is_skipped(data_dir, tmp_path, name, read):
+    # spreadsheet programs save "CSV UTF-8" with a leading BOM
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
+    assert contents(read(bom)) == contents(read(data_dir / name))
 
 
 class TestIngestFactors:

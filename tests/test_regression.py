@@ -197,6 +197,13 @@ class TestHacInference:
         with pytest.raises(NumericalError, match="long-run variance is not finite"):
             long_run_variance(rng.standard_normal((50, 2)) * 1e200, 3.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lrv_non_finite_scores(self, rng, bad):
+        V = rng.standard_normal((50, 2))
+        V[7, 1] = bad
+        with pytest.raises(NumericalError, match="^QS long-run variance needs finite regression scores$"):
+            long_run_variance(V, 3.0)
+
     @pytest.mark.parametrize("scale", [2.0**-400, 1.0, 2.0**400])
     def test_lrv_psd_check_is_scale_free(self, scale):
         # at bandwidth 10T the smallest eigenvalue is a near-cancellation:
@@ -384,6 +391,11 @@ class TestImTstat:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             im_tstat([1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate(self, bad):
+        with pytest.raises(DataError, match="^group estimates hold NaN or infinite values$"):
+            im_tstat([1.0, bad, 2.0])
 
 
 class TestGroupedRegression:

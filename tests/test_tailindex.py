@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -237,3 +238,10 @@ class TestBadValues:
         x[[3, 60]] = (bad, math.nan)
         with pytest.raises(ValueError, match="^tail estimation needs strictly positive values$"):
             call(x)
+
+    @pytest.mark.parametrize("call", ESTIMATES.values(), ids=ESTIMATES.keys())
+    @pytest.mark.parametrize("sample", [np.arange(1.0, 21.0).reshape(4, 5), np.float64(5.0)], ids=("2-D", "0-D"))
+    def test_sample_not_one_dimensional_names_its_shape(self, call, sample):
+        message = f"^a tail sample must be one-dimensional, got shape {re.escape(str(sample.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            call(sample)
