@@ -379,6 +379,8 @@ def group_partition(T: int, q: int) -> tuple[tuple[int, int], ...]:
 def im_tstat(group_estimates) -> GroupInference:
     """Student-t statistic of q group estimates: ``sqrt(q) * mean / sd``."""
     est = np.asarray(group_estimates, dtype=float)
+    if est.ndim != 1:
+        raise DataError(f"group estimates must be one-dimensional, got shape {est.shape}")
     if len(est) < 2:
         raise ValueError(f"need at least 2 group estimates, got {len(est)}")
     if not np.all(np.isfinite(est)):

@@ -5,15 +5,19 @@ positive sample.  The rank-size regression applies the small-sample shift of
 1/2 in ranks, with standard error ``sqrt(2/k) * zeta``; the Hill standard
 error is ``zeta / sqrt(k)``.  Confidence bands use the normal 1.96 multiplier
 at every truncation level.
-An estimator sorts only a sample that is not already ascending, such as
-the k + 1 largest values a curve hands it, and reads ``ln(rank - 1/2)``
-from a module table grown on first use.  A curve partitions its sample and
-sorts only the largest values its grid reads.
+Each estimator takes one truncation level k, giving one fit, or a sequence
+of them, giving a tuple of fits in the sequence's order; either way it
+sorts only a sample that is not already ascending, takes the logs of the
+largest values the levels read in one pass, and reads ``ln(rank - 1/2)``
+from a module table grown on first use.  A curve does one partial sort and
+one log pass: it partitions its sample, sorts only the largest values its
+grid reads and fits the whole grid in one estimator call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,22 +103,38 @@ def _sorted_positive(sample, top: int | None = None) -> np.ndarray:
     return vals
 
 
-def _top_descending(sample, k: int, extra: int) -> np.ndarray:
-    """The k + extra largest values, largest first, for k in [2, n - extra]."""
+def _fits(sample, k, extra: int, fit):
+    """``fit(sizes, logs, k)`` for one k, or a tuple of them for a sequence of ks, in its order.
+
+    ``sizes`` are the largest values the ks read, largest first, and ``logs`` their logs, both
+    taken once; each k is checked against [2, n - extra] just before its fit.
+    """
     vals = _sorted_positive(sample)
     hi = len(vals) - extra
-    if not 2 <= k <= hi:
-        raise ValueError(f"k must be in [2, {hi}], got {k}")
-    return vals[::-1][: k + extra]
+    single = np.ndim(k) == 0
+    ks = (k,) if single else tuple(k)
+    sizes = vals[::-1][: max((j for j in ks if 2 <= j <= hi), default=0) + extra]
+    logs = np.log(sizes)
+    fits = []
+    for j in ks:
+        if not 2 <= j <= hi:
+            raise ValueError(f"k must be in [2, {hi}], got {j}")
+        fits.append(fit(sizes, logs, j))
+    return fits[0] if single else tuple(fits)
 
 
-def hill_estimate(sample, k: int) -> TailFit:
+def hill_estimate(sample, k: int | Sequence[int]) -> TailFit | tuple[TailFit, ...]:
     """Hill estimator from the log-spacings of the top k order statistics.
 
     With descending order statistics ``X_(1) >= ... >= X_(n)``:
-    ``zeta = k / sum_{i<=k} (ln X_(i) - ln X_(k+1))``.
+    ``zeta = k / sum_{i<=k} (ln X_(i) - ln X_(k+1))``.  ``k`` is one
+    truncation level, giving one :class:`TailFit`, or a sequence of them,
+    giving a tuple of fits in its order.
     """
-    logs = np.log(_top_descending(sample, k, 1))
+    return _fits(sample, k, 1, _hill_fit)
+
+
+def _hill_fit(sizes: np.ndarray, logs: np.ndarray, k: int) -> TailFit:
     spacing_sum = float(logs[:k].sum() - k * logs[k])
     if spacing_sum <= 0:
         raise NumericalError("zero log-spacing sum: top order statistics are all equal")
@@ -122,17 +142,22 @@ def hill_estimate(sample, k: int) -> TailFit:
     return TailFit(zeta=zeta, se=zeta / math.sqrt(k), k=k, method="hill")
 
 
-def rank_size_estimate(sample, k: int) -> TailFit:
+def rank_size_estimate(sample, k: int | Sequence[int]) -> TailFit | tuple[TailFit, ...]:
     """Log-log rank-size regression over the k largest values.
 
     Regresses ``ln(rank - 1/2)`` on ``ln(size)`` (rank 1 = largest); the
     tail index is minus the slope and the standard error is
-    ``sqrt(2/k) * zeta``.
+    ``sqrt(2/k) * zeta``.  ``k`` is one truncation level, giving one
+    :class:`TailFit`, or a sequence of them, giving a tuple of fits in its
+    order.
     """
-    sizes = _top_descending(sample, k, 0)
-    if sizes[0] == sizes[-1]:  # descending, so all k are equal
+    return _fits(sample, k, 0, _rank_size_fit)
+
+
+def _rank_size_fit(sizes: np.ndarray, logs: np.ndarray, k: int) -> TailFit:
+    if sizes[0] == sizes[k - 1]:  # descending, so all k are equal
         raise NumericalError("fewer than 2 distinct sizes among the top k values")
-    x = np.log(sizes)
+    x = logs[:k]
     ydep = _log_ranks(k)
     x_mean, y_mean = x.sum() / k, ydep.sum() / k  # the bits of .mean()
     xc = x - x_mean
@@ -170,10 +195,11 @@ def k_grid(
 
 
 def tail_curve(sample, method: str, grid) -> TailCurve:
-    """Sort the sample's k_max + 1 largest values once and fit each k of the grid to its ascending
-    k+1 largest values, k_max being the grid's largest k in [2, n-1].
+    """Sort the sample's k_max + 1 largest values once and fit the whole grid to them in one
+    estimator call, k_max being the grid's largest k in [2, n-1].
 
-    A k outside [2, n-1] gets the whole sample, so the estimator rejects it against n.
+    A grid with a k outside [2, n-1] is fitted to the whole sample, so the estimator rejects
+    that k against n.
     """
     vals, ks = np.asarray(sample, dtype=float), [int(k) for k in grid]
     n = vals.size  # not len(): _sorted_positive names the shape of a sample that is not 1-D
@@ -181,5 +207,4 @@ def tail_curve(sample, method: str, grid) -> TailCurve:
     estimator = {"hill": hill_estimate, "rank_size": rank_size_estimate}.get(method)
     if estimator is None:
         raise ValueError(f"method must be 'hill' or 'rank_size', got {method!r}")
-    points = tuple(estimator(top[-k - 1 :] if 2 <= k < n else vals, k) for k in ks)
-    return TailCurve(points=points, n=n)
+    return TailCurve(points=estimator(top if all(2 <= k < n for k in ks) else vals, ks), n=n)

@@ -392,6 +392,12 @@ class TestImTstat:
         with pytest.raises(ValueError):
             im_tstat([1.0])
 
+    @pytest.mark.parametrize("estimates", [np.ones((3, 2)), 5.0, [[1.0], [2.0], [4.0]]], ids=("3x2", "0-D", "3x1"))
+    def test_estimates_not_one_dimensional_name_their_shape(self, estimates):
+        shape = re.escape(str(np.shape(estimates)))
+        with pytest.raises(DataError, match=f"^group estimates must be one-dimensional, got shape {shape}$"):
+            im_tstat(estimates)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_estimate(self, bad):
         with pytest.raises(DataError, match="^group estimates hold NaN or infinite values$"):

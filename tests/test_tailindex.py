@@ -169,22 +169,25 @@ class TestTailCurve:
         for method, est in (("hill", hill_estimate), ("rank_size", rank_size_estimate)):
             assert tail_curve(x, method, grid).points == tuple(est(x, k) for k in grid)
 
-    def test_estimators_receive_the_sorted_sample(self, rng, monkeypatch):
-        # each call gets only the k+1 largest values, in ascending order
-        seen = []
+    def test_each_curve_makes_one_estimator_call(self, rng, monkeypatch):
+        # the call gets the k_max + 1 largest values, in ascending order, and the whole grid
+        calls = []
 
         def spy(est):
-            def wrapped(sample, k):
-                seen.append(bool(np.array_equal(sample, np.sort(x)[-(k + 1):])))
-                return est(sample, k)
+            def wrapped(sample, ks):
+                calls.append((np.array(sample), ks))
+                return est(sample, ks)
             return wrapped
 
         monkeypatch.setattr(tailindex, "hill_estimate", spy(hill_estimate))
         monkeypatch.setattr(tailindex, "rank_size_estimate", spy(rank_size_estimate))
-        x = pareto(rng, 500, 1.2)
+        x, grid = pareto(rng, 500, 1.2), k_grid(500)
         for method in ("hill", "rank_size"):
-            tail_curve(x, method, k_grid(500))
-        assert len(seen) == 2 * len(k_grid(500)) and all(seen)
+            tail_curve(x, method, grid)
+        assert len(calls) == 2
+        for sample, ks in calls:
+            assert np.array_equal(sample, np.sort(x)[-(grid[-1] + 1) :])
+            assert tuple(ks) == grid
 
     @pytest.mark.parametrize(
         "method, k, message",
@@ -210,6 +213,37 @@ class TestTailCurve:
         fits = (hill_estimate(x, 20), hill_estimate(x, 10))
         with pytest.raises(ValueError, match="strictly increasing"):
             TailCurve(points=fits, n=100)
+
+
+class TestManyK:
+    @staticmethod
+    def tied(n):
+        # unsorted, ties from rounding, and the largest 5 values equal
+        rng = np.random.default_rng(n)
+        x = np.round(pareto(rng, n, 1.5), 2)
+        x[np.argsort(x)[-5:]] = x.max()
+        return x
+
+    @pytest.mark.parametrize("n", [40, 1000, 12_345])
+    @pytest.mark.parametrize("est", [hill_estimate, rank_size_estimate], ids=("hill", "rank_size"))
+    def test_sequence_form_is_the_int_form(self, n, est):
+        x = self.tied(n)
+        ks = (n // 3, 6, 2 * n // 3, 6, 9)  # any order, repeats kept
+        assert est(x, ks) == tuple(est(x, k) for k in ks)
+        assert est(x, list(ks)) == est(x, np.array(ks)) == est(x, ks)
+        assert est(x, ()) == ()
+
+    @pytest.mark.parametrize("est, extra", [(hill_estimate, 1), (rank_size_estimate, 0)], ids=("hill", "rank_size"))
+    def test_errors_come_in_grid_order(self, est, extra):
+        # a constant top at an earlier k is named before a later k out of range, and that k against n
+        n = 200
+        x = self.tied(n)
+        with pytest.raises(NumericalError):
+            est(x, (20, 3, n + 5))
+        with pytest.raises(ValueError, match=rf"^k must be in \[2, {n - extra}\], got {n + 5}$"):
+            est(x, (20, n + 5, 3))
+        with pytest.raises(ValueError, match=r"^k must be in \[2, \d+\], got 1$"):
+            est(x, (1, 3))
 
 
 ESTIMATES = {
