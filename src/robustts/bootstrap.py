@@ -14,18 +14,19 @@ observed series by length.  Replicates are resampled in chunks by
 the one chunk loop over the battery kernel, which serves the observed series
 too.  Both work row by row, so no bit of a report depends on how the series
 or the replicates are split into chunks.  A chunk's series overwrite the
-array of their multipliers, and the kernel works in the one workspace of its
-``_battery_rows`` call; nothing is shared between calls, so reports may run
-on several threads at once and keep their bits.  Replication ``r`` draws its
-multipliers from ``SeedSequence(seed + (r,))``, so results never depend on
-evaluation order either: a chunk hashes the shared seed prefix and its ``r``
-in one vectorised pass, and numpy seeds each row's ``PCG64`` from the words.
+array of their multipliers, and the kernel works in the workspace of the
+calling thread, which outlives the call; no thread shares one, so reports may
+run on several threads at once and keep their bits.  Replication ``r`` draws
+its multipliers from ``SeedSequence(seed + (r,))``, so results never depend
+on evaluation order either: a report hashes the shared seed prefix and every
+``r`` once, in one vectorised pass (:func:`_seed_keys`), and each chunk only
+draws, numpy seeding each row's ``PCG64`` from its words (:func:`_draw_signs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -121,23 +122,12 @@ def _hash(v: np.ndarray, h: np.ndarray, h_next: np.ndarray) -> np.ndarray:
     return v ^ (v >> _SHIFT)
 
 
-def _rademacher_rows(prefix: tuple[int, ...], rs, n: int) -> np.ndarray:
-    """``rademacher(prefix + (r,), n)`` as one row for each ``r < 2**32`` of ``rs``, or
-    ``rademacher(prefix, n)`` as the one row when ``rs`` is None.  The entropy is a W x C
-    uint32 array, the prefix's words split once above the row of ``r``: every lane has W
-    words, so numpy's ``SeedSequence`` hash runs on all lanes in step, and numpy seeds each
-    row's ``PCG64`` from the row's four hashed words."""
-    from numpy.random import PCG64, bit_generator
-
-    class Hashed(bit_generator.ISeedSequence):  # what PCG64 reads from a seed: its four state words
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _seed_keys(prefix: tuple[int, ...], rs) -> np.ndarray:
+    """The four ``PCG64`` state words that numpy's ``SeedSequence`` hashes from ``prefix +
+    (r,)``, as one C-contiguous uint64 row for each ``r < 2**32`` of ``rs``, or from ``prefix``
+    as the one row when ``rs`` is None.  The entropy is a W x C uint32 array, the prefix's
+    words split once above the row of ``r``: every lane has W words, so the hash runs on all
+    lanes in step."""
     words = [p >> s & _MASK32 for p in prefix for s in range(0, max(p.bit_length(), 1), 32)]
     width = max(len(words) + (rs is not None), 4)  # numpy zero-pads the entropy to its pool of four
     entropy = np.zeros((width, 1 if rs is None else len(rs)), np.uint32)
@@ -153,7 +143,32 @@ def _rademacher_rows(prefix: tuple[int, ...], rs, n: int) -> np.ndarray:
     b = np.cumprod(np.array([_INIT_B] + [_MULT_B] * 8, np.uint32), dtype=np.uint32)
     state = _hash(np.array(pool * 2), b[:8, None], b[1:, None]).astype(np.uint64)
     # low half first, as numpy's '<u4' -> '<u8'; C-contiguous rows, as PCG64 reads their buffers
-    keys = (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+
+
+@cache
+def _seeded_generator():
+    """``PCG64`` and the seed class that hands it four given state words, made on the first
+    draw, so that importing this module does not import ``numpy.random``."""
+    from numpy.random import PCG64, bit_generator
+
+    class Hashed(bit_generator.ISeedSequence):  # what PCG64 reads from a seed: its four state words
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PCG64, Hashed
+
+
+def _draw_signs(keys: np.ndarray, n: int) -> np.ndarray:
+    """``n`` Rademacher signs for each row of :func:`_seed_keys`, stacked as rows: numpy
+    seeds each row's ``PCG64`` from the row's four words, and the signs are the top bits of
+    its draws' 32-bit halves."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    PCG64, Hashed = _seeded_generator()
     block = np.empty((len(keys), (n + 1) // 2), dtype="<u8")
     for row, key in zip(block, keys):
         row[:] = PCG64(Hashed(key)).random_raw(len(row))
@@ -161,6 +176,12 @@ def _rademacher_rows(prefix: tuple[int, ...], rs, n: int) -> np.ndarray:
     signs = np.right_shift(bits, 31, out=bits) * 2.0
     signs -= 1.0
     return signs
+
+
+def _rademacher_rows(prefix: tuple[int, ...], rs, n: int) -> np.ndarray:
+    """``rademacher(prefix + (r,), n)`` as one row for each ``r < 2**32`` of ``rs``, or
+    ``rademacher(prefix, n)`` as the one row when ``rs`` is None: the draw of the hashed keys."""
+    return _draw_signs(_seed_keys(prefix, rs), n)
 
 
 def rademacher(seed, n: int) -> np.ndarray:
@@ -239,11 +260,11 @@ def _recolour_kernel(phi: tuple[float, ...], n: int) -> tuple[int, np.ndarray]:
     return L, np.fft.rfft(np.cumsum(h[p:]), L)
 
 
-def _resample_chunk(model: SieveModel, prefix: tuple[int, ...], rs) -> np.ndarray:
-    """One bootstrap series per replicate number ``r`` of ``rs``, stacked as rows.
+def _resample_chunk(model: SieveModel, keys: np.ndarray) -> np.ndarray:
+    """One bootstrap series per row of :func:`_seed_keys`, stacked as rows.
 
-    ``eps*_t = w_t * e_t`` with Rademacher ``w`` drawn from the seed
-    ``prefix + (r,)``, all rows by one :func:`_rademacher_rows` pass; the differences follow
+    ``eps*_t = w_t * e_t`` with Rademacher ``w`` drawn from the row's seed
+    ``prefix + (r,)``, all rows by one :func:`_draw_signs` pass; the differences follow
     ``d*_t = sum_j phi_j d*_{t-j} + eps*_t`` from zero pre-sample values, and
     the level series is their cumulative sum (unit root imposed).  For
     ``p > 0`` that is one FFT convolution ``eps* ⊛ c`` with the cumulated
@@ -254,7 +275,7 @@ def _resample_chunk(model: SieveModel, prefix: tuple[int, ...], rs) -> np.ndarra
     Rows are transformed independently, so a row's bits do not depend on the
     other replicates in its chunk, nor on the chunk's size.
     """
-    eps = _rademacher_rows(prefix, rs, len(model.residuals))
+    eps = _draw_signs(keys, len(model.residuals))
     eps *= model.residuals
     # the series overwrite their innovations, so the chunk takes no array of its own
     if model.p == 0:
@@ -284,7 +305,8 @@ def _report(v: np.ndarray, stats: UnitRootStats, B: int, seed_parts: tuple[int, 
     n = len(model.residuals)
     if n < MIN_BATTERY_LENGTH:
         raise DataError(f"bootstrap series would have {n} observations; need at least {MIN_BATTERY_LENGTH}")
-    reps = _battery_rows(B, n, lambda lo, hi: _resample_chunk(model, seed_parts, range(lo + 1, hi + 1)))
+    keys = _seed_keys(seed_parts, range(1, B + 1))  # replicate r = 1..B, hashed once per report
+    reps = _battery_rows(B, n, lambda lo, hi: _resample_chunk(model, keys[lo:hi]))
     observed = stats.as_dict()
     p_values = {name: _pvalue(observed[name], reps[name], tail, B) for name, tail in STAT_TAILS.items()}
     return UnitRootReport(stats, BootstrapResult(p_values=p_values, B=B, seed=seed_parts))

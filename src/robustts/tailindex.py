@@ -189,9 +189,11 @@ def k_grid(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     # beyond 2n steps the fractions lie under half a rank apart, so every k is already on the grid
-    fracs = np.linspace(lo_frac, hi_frac, min(steps, 2 * n))
-    ks = np.clip(np.ceil(fracs * n).astype(int), 2, n - 1)
-    return tuple(int(k) for k in np.unique(ks))
+    num = min(steps, 2 * n)
+    # np.linspace's arithmetic on a grid of at most 2n points: lo + i*step, the last point hi
+    step = (hi_frac - lo_frac) / (num - 1) if num > 1 else 0.0
+    fracs = [lo_frac + i * step for i in range(num - 1)] + [hi_frac if num > 1 else lo_frac]
+    return tuple(sorted({min(max(math.ceil(f * n), 2), n - 1) for f in fracs}))
 
 
 def tail_curve(sample, method: str, grid) -> TailCurve:

@@ -15,10 +15,12 @@ MAIC search and the ADF fit each gather their own Gram block from it, in the
 order :func:`_gram_index` lays out.  :func:`_battery_rows`, its one loop,
 calls it per chunk of series, and
 :func:`_stats` turns its rows into :class:`UnitRootStats`.  A row's bits do
-not depend on the rows sharing its call.  Each :func:`_battery_rows` call
-makes one :class:`_Workspace` for the kernel's series- and Gram-sized
-intermediates, written in place by every chunk; no two calls share one, so
-calls may run on several threads at once.  Series reach it through
+not depend on the rows sharing its call.  Each thread has one
+:class:`_Workspace` for the kernel's series- and Gram-sized intermediates,
+made by its first :func:`_battery_rows` call and written in place by every
+chunk of every later call; no two threads share one, so calls may run on
+several threads at once.  What depends on the series length alone is made
+once per length (:func:`_length_terms`).  Series reach it through
 :mod:`robustts.bootstrap`.  The scalar formula references it is tested
 against live in ``tests/reference_unitroot.py``.
 
@@ -29,10 +31,12 @@ bootstrap p-values in :mod:`robustts.bootstrap`.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, NumericalError
 from .series import Series
@@ -107,10 +111,11 @@ def _solve_normal(G: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class _Workspace(dict):
-    """The buffers of one :func:`_battery_rows` call, by name, reused by each of its chunks:
-    ``w(name, *shape)`` is a C-contiguous view of the buffer's leading elements, allocated
-    by the first (largest) chunk that asks and grown only for a larger request.  Arrays
-    that share a name must not be live at once.  No two calls share a workspace.
+    """The buffers of one thread's :func:`_battery_rows` calls, by name, reused by every
+    chunk: ``w(name, *shape)`` is a C-contiguous view of the buffer's leading elements,
+    allocated by the first (largest) chunk that asks and grown only for a larger request,
+    so a buffer keeps the largest size any length has asked for.  Arrays that share a
+    name must not be live at once.  No two threads share a workspace.
     """
 
     def __call__(self, name: str, *shape: int) -> np.ndarray:
@@ -120,13 +125,35 @@ class _Workspace(dict):
         return self[name][:size].reshape(shape)
 
 
+_THREAD = threading.local()  # each thread's workspace, as the attribute ``w``
+
+
+@cache
+def _length_terms(T: int) -> tuple:
+    """What the kernel reads at length ``T`` alone, made once per length: ``k_max``, the
+    GLS quasi-difference ``rho``, its constant regressor ``za`` and ``za @ za``, the LR
+    profile's ``2h`` and ``h**2`` over ``h = c/T`` of :data:`LR_C_GRID`, the ADF block's
+    diagonal indices and its first unit vector ``e0``, as a column."""
+    k_max = default_k_max(T)
+    rho = 1.0 + DEFAULT_C_BAR / T
+    za = np.full(T, 1.0 - rho)
+    za[0] = 1.0
+    h = LR_C_GRID / T
+    e0 = np.zeros((k_max + 1, 1))
+    e0[0] = 1.0
+    arrays = za, 2.0 * h, h**2, np.arange(k_max + 1), e0
+    for a in arrays:
+        a.flags.writeable = False
+    return k_max, rho, za, float(za @ za), *arrays[1:]
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise inner products, pairwise summed; the products go to ``out``."""
-    return np.sum(np.multiply(a, b, out=out), axis=1)
+    return np.multiply(a, b, out=out).sum(axis=1)
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError("unit-root battery overflows: the series values are too large")
     return a
 
@@ -193,7 +220,8 @@ def _lag_sums(U: np.ndarray, V: np.ndarray, P: np.ndarray, w: _Workspace) -> np.
     S = X[:, :2] @ X.transpose(0, 2, 1)  # (U, V) against (U, V, d)
     # R[e], then W = h h' - t t', then a zero, gathered so that L[a, e] = LL[a, a+e]
     lags = w("s", C, m + k * k + 1)
-    lags[:, :m] = np.einsum("cnw,cn->cw", sliding_window_view(d, m, axis=1), d[:, k:])[:, ::-1]
+    window = as_strided(d, (C, T - 1 - k, m), (d.strides[0], d.strides[1], d.strides[1]), writeable=False)
+    lags[:, :m] = np.einsum("cnw,cn->cw", window, d[:, k:])[:, ::-1]
     W = lags[:, m:-1].reshape(C, k, k)
     np.multiply(h[:, :, None], h[:, None, :], out=W)
     W -= np.multiply(t[:, :, None], t[:, None, :], out=w("g", C, k, k))
@@ -234,18 +262,21 @@ def _maic(B: np.ndarray, T: int, k_max: int) -> np.ndarray:
         F = None
     if F is not None:
         p, q = F[:, k_max, :k_max], F[:, m, :k_max]
-        P, Q, R = np.pad(np.cumsum(np.stack((p * p, q * q, p * q)), axis=2), ((0, 0), (0, 0), (1, 0)))
+        # the prefix sums over the first k lags, k = 0..k_max, the empty one zero
+        P, Q, R = pqr = np.zeros((3, len(B), m))
+        np.multiply(p, p, out=P[:, 1:]), np.multiply(q, q, out=Q[:, 1:]), np.multiply(p, q, out=R[:, 1:])
+        np.cumsum(pqr[:, :, 1:], axis=2, out=pqr[:, :, 1:])
         r = g0 - R
         b0 = r / (G00 - P)
         ssr = rr - Q - r * b0
-    if F is None or not np.all(ssr > 0):
+    if F is None or not (ssr > 0).all():
         order = np.r_[k_max, :k_max]
         G, g = B[:, order[:, None], order], B[:, order, m]
         ssr, b0 = np.empty_like(g), np.empty_like(g)
         for k in range(k_max + 1):
             b = _solve_normal(G[:, : k + 1, : k + 1], g[:, : k + 1, None])[:, :, 0]
             ssr[:, k] = rr[:, 0] - _rowdot(b, g[:, : k + 1])
-            if not np.all(ssr[:, k] > 0):
+            if not (ssr[:, k] > 0).all():
                 raise NumericalError(f"degenerate ADF regression at lag {k}")
             b0[:, k] = b[:, 0]
     s2 = ssr / N
@@ -296,20 +327,17 @@ def _battery_batch(Y: np.ndarray, w: _Workspace) -> dict[str, np.ndarray]:
     C, T = Y.shape
     if T < MIN_BATTERY_LENGTH:
         raise DataError(f"battery needs at least {MIN_BATTERY_LENGTH} observations, got {T}")
-    k_max = default_k_max(T)
+    k_max, rho, za, zz, lr_2h, lr_hh, diag, e0 = _length_terms(T)
     m = k_max + 1
     # the shared buffers at their largest first (the three-row stack or ADF block, the skew gather)
     w("s", C, max(3 * (T - 1 - k_max), (m + 1) ** 2)), w("g", C, m, m)
     U = np.subtract(Y, Y.mean(axis=1, keepdims=True), out=w("U", C, T))
     # GLS demeaning, which no lag enters; V holds the quasi-differences first,
     # then their products with za, then the demeaned level
-    rho = 1.0 + DEFAULT_C_BAR / T
     V = w("V", C, T)
     V[:, 0] = Y[:, 0]
     np.subtract(Y[:, 1:], np.multiply(rho, Y[:, :-1], out=V[:, 1:]), out=V[:, 1:])
-    za = np.full(T, 1.0 - rho)
-    za[0] = 1.0
-    np.subtract(Y, (_rowdot(V, za, V) / float(za @ za))[:, None], out=V)
+    np.subtract(Y, (_rowdot(V, za, V) / zz)[:, None], out=V)
     # the differences after k_max zeros, the lags' one source
     P = w("P", C, k_max + T - 1)
     P[:, :k_max] = 0.0
@@ -332,28 +360,28 @@ def _battery_batch(Y: np.ndarray, w: _Workspace) -> dict[str, np.ndarray]:
     # the cost does not depend on the lags chosen
     A = _finite(_adf_gram(sums, head, lag, w))
     G, g, rr = A[:, :m, :m], A[:, :m, m:], A[:, m, m]
-    diag = np.arange(m)
     G[:, diag, diag] += diag > lag[:, None]
-    e0 = np.zeros_like(g)
-    e0[:, 0] = 1.0
-    sol = _solve_normal(G, np.concatenate((g, e0), axis=2))
+    # the right-hand sides g and e0 go to the head's buffer, read by now
+    rhs = w("g", C, m, 2)
+    rhs[:, :, :1], rhs[:, :, 1:] = g, e0
+    sol = _solve_normal(G, rhs)
     b, g00 = sol[:, :, 0], sol[:, 0, 1]
     ssr = rr - _rowdot(b, g[:, :, 0])
-    if not np.all(ssr > 0):
+    if not (ssr > 0).all():
         raise NumericalError("degenerate ADF regression (zero residual variance)")
     sigma2 = ssr / (T - 1 - lag - (lag + 1))  # observations less coefficients
-    if not np.all(g00 > 0):
+    if not (g00 > 0).all():
         raise NumericalError("singular ADF regression")
     adf = b[:, 0] / np.sqrt(sigma2 * g00)
     lag_sum = np.sum(b[:, 1:], axis=1)
 
     denom = (1.0 - lag_sum) ** 2
-    if not np.all(denom > 0):
+    if not (denom > 0).all():
         raise NumericalError("autoregressive spectral density denominator vanished")
     s2_ar = sigma2 / denom
     s = w("s", C, T - 1)
     kappa = _rowdot(V[:, :-1], V[:, :-1], s) / T**2
-    if np.any(kappa == 0.0):
+    if (kappa == 0.0).any():
         raise NumericalError("sum of squared lagged values is zero")
     mz_alpha = (V[:, -1] ** 2 / T - s2_ar) / (2.0 * kappa)
     msb = np.sqrt(kappa / s2_ar)
@@ -365,17 +393,16 @@ def _battery_batch(Y: np.ndarray, w: _Workspace) -> dict[str, np.ndarray]:
     # so no large sums are subtracted from each other
     L = U[:, :-1]
     s_dd, s_dl, s_ll = _rowdot(D, D, s), _rowdot(D, L, s), _rowdot(L, L, s)
-    h = LR_C_GRID / T
-    sig2 = (s_dd[:, None] + 2.0 * h * s_dl[:, None] + h**2 * s_ll[:, None]) / (T - 1)
-    if not np.all(sig2 > 0):
+    sig2 = (s_dd[:, None] + lr_2h * s_dl[:, None] + lr_hh * s_ll[:, None]) / (T - 1)
+    if not (sig2 > 0).all():
         raise NumericalError("degenerate AR(1) profile (constant series)")
     # LR_C_GRID starts at c = 0, so column 0 is the null variance s_dd / (T-1)
     lr = (T - 1) * (np.log(sig2[:, 0]) - np.log(sig2.min(axis=1)))
 
     out = dict(zip(STAT_TAILS, (lr, mz_alpha, msb, mz_t, mp_t, adf)))
-    if not all(np.all(np.isfinite(v)) for v in (*out.values(), s2_ar)):
+    if not np.isfinite(np.stack((*out.values(), s2_ar))).all():
         raise NumericalError("non-finite unit-root statistic")
-    if not np.all(msb > 0):
+    if not (msb > 0).all():
         raise NumericalError(f"MSB must be positive, got {float(msb[~(msb > 0)][0])}")
     out.update(lag=lag, s2_ar=s2_ar)
     return out
@@ -387,12 +414,15 @@ def _battery_rows(n: int, T: int, stack) -> dict[str, np.ndarray]:
 
     The one loop over the kernel: one call per chunk of series within
     ``CHUNK_BYTES``, each chunk stacked only when its turn comes, and each
-    key's chunks concatenated.  Series shorter than the battery's minimum
-    fail in the kernel.
+    key's chunks concatenated.  Every chunk works in the calling thread's
+    workspace, made on its first call, so ``stack`` must not run the battery
+    itself.  Series shorter than the battery's minimum fail in the kernel.
     """
     T = max(T, MIN_BATTERY_LENGTH)
     size = max(1, CHUNK_BYTES // (8 * (8 * T + 5 * (default_k_max(T) + 3) ** 2)))
-    w = _Workspace()
+    w = getattr(_THREAD, "w", None)
+    if w is None:
+        w = _THREAD.w = _Workspace()
     chunks = [_battery_batch(stack(lo, min(lo + size, n)), w) for lo in range(0, n, size)]
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 

@@ -100,8 +100,8 @@ class TestResampleNull:
     def test_unit_multipliers_give_cumsum_of_residuals(self, rng, monkeypatch):
         dy = rng.standard_normal(40)
         model = fit_sieve(dy, 0)
-        monkeypatch.setattr(bt, "_rademacher_rows", lambda prefix, rs, n: np.ones((len(rs), n)))
-        y_star = bt._resample_chunk(model, (), [0])[0]
+        monkeypatch.setattr(bt, "_draw_signs", lambda keys, n: np.ones((len(keys), n)))
+        y_star = bt._resample_chunk(model, bt._seed_keys((), [0]))[0]
         assert np.allclose(y_star, np.cumsum(dy - dy.mean()))
 
     def test_zero_phi_keeps_innovations(self, rng, monkeypatch):
@@ -109,14 +109,14 @@ class TestResampleNull:
         resid = dy[1:] - dy[1:].mean()
         model = SieveModel(phi=(0.0,), residuals=resid)
         w = rademacher(3, len(model.residuals))
-        monkeypatch.setattr(bt, "_rademacher_rows", lambda prefix, rs, n: np.tile(w, (len(rs), 1)))
-        y_star = bt._resample_chunk(model, (), [0])[0]
+        monkeypatch.setattr(bt, "_draw_signs", lambda keys, n: np.tile(w, (len(keys), 1)))
+        y_star = bt._resample_chunk(model, bt._seed_keys((), [0]))[0]
         assert np.allclose(np.diff(y_star, prepend=0.0), w * model.residuals)
 
     def test_unit_root_imposed(self, rng):
         dy = rng.standard_normal(200)
         model = fit_sieve(dy, 2)
-        y_star = bt._resample_chunk(model, (), [11])[0]
+        y_star = bt._resample_chunk(model, bt._seed_keys((), [11]))[0]
         # the differences must satisfy the AR recursion exactly
         d = np.diff(y_star, prepend=0.0)
         eps = rademacher((11,), len(model.residuals)) * model.residuals
@@ -139,7 +139,7 @@ class TestResampleNull:
             d[t] = phi * d[t - 1] + e[t]
         model = fit_sieve(d, 1)
         m = len(model.residuals)
-        ends = np.array([bt._resample_chunk(model, (31,), [r])[0][-1] for r in range(2000)])
+        ends = np.array([bt._resample_chunk(model, bt._seed_keys((31,), [r]))[0][-1] for r in range(2000)])
         empirical = np.var(ends / np.sqrt(m))
         target = np.mean(model.residuals**2) / (1.0 - model.phi[0]) ** 2
         assert abs(empirical / target - 1.0) < 0.10
@@ -224,15 +224,15 @@ class TestResampleChunk:
     def test_rows_equal_one_seed_chunks(self, rng, p):
         model = fit_sieve(rng.standard_t(3, 160), p)
         rs = range(1, 41)
-        chunk = bt._resample_chunk(model, (7, 2), rs)
+        chunk = bt._resample_chunk(model, bt._seed_keys((7, 2), rs))
         assert chunk.shape == (len(rs), len(model.residuals))
         for row, r in zip(chunk, rs):
-            assert np.array_equal(row, bt._resample_chunk(model, (7, 2), [r])[0])
+            assert np.array_equal(row, bt._resample_chunk(model, bt._seed_keys((7, 2), [r]))[0])
 
     @staticmethod
     def assert_matches_filter(model, prefix, rs):
         pytest.importorskip("scipy.signal")
-        got = bt._resample_chunk(model, prefix, rs)
+        got = bt._resample_chunk(model, bt._seed_keys(prefix, rs))
         want = reference_chunk(model, [prefix + (r,) for r in rs])
         assert got.shape == want.shape
         scale = np.abs(want).max(axis=1, keepdims=True)
@@ -265,9 +265,9 @@ class TestResampleChunk:
             builds.append((phi, n))
             return kernel(phi, n)
 
-        def counting_chunk(model, prefix, rs):
-            chunks.append(len(rs))
-            return chunk(model, prefix, rs)
+        def counting_chunk(model, keys):
+            chunks.append(len(keys))
+            return chunk(model, keys)
 
         monkeypatch.setattr(bt, "_recolour_kernel", counting_kernel)
         monkeypatch.setattr(bt, "_resample_chunk", counting_chunk)
@@ -350,7 +350,8 @@ class TestBootstrapPvalues:
             raise AssertionError("B=0 must fit no sieve and draw nothing")
 
         monkeypatch.setattr(bt, "fit_sieve", never)
-        monkeypatch.setattr(bt, "_rademacher_rows", never)
+        monkeypatch.setattr(bt, "_seed_keys", never)
+        monkeypatch.setattr(bt, "_draw_signs", never)
         # 25 observations: enough for the battery, too few for a bootstrap
         y = np.cumsum(rng.standard_normal(25))
         rep = unit_root_report(y, B=0, seed=None)
@@ -390,18 +391,28 @@ class TestChunking:
             monkeypatch.setattr(unitroot, "CHUNK_BYTES", size)
             assert replicate_stats(monkeypatch, y, 199, (4, T)) == base, size
 
+    @pytest.mark.parametrize("dgp", ["t3", "ma"])
     @pytest.mark.parametrize("T", [150, 1000])
-    def test_peak_memory_within_chunk_bytes(self, T):
+    def test_peak_memory_within_chunk_bytes(self, monkeypatch, T, dgp):
         # every allocation of the chunk loop over 999 replicates, the
-        # resampler's and the kernel's, traced from an empty start
-        y = np.cumsum(np.random.default_rng(T).standard_t(3, T))
+        # resampler's and the kernel's, traced from an empty start: a fresh
+        # workspace for this thread and the report's hashed keys; the t(3)
+        # walk selects lag 0 (cumulation alone), the MA(1) walk lag 7 at
+        # T=150 and 11 at T=1000 (the FFT recolouring)
+        rng = np.random.default_rng(T)
+        if dgp == "t3":
+            y = np.cumsum(rng.standard_t(3, T))
+        else:
+            u = rng.standard_normal(T + 1)
+            y = np.cumsum(u[1:] - 0.8 * u[:-1])
         model = fit_sieve(np.diff(y), unit_root_report(y, B=0).stats.lag)
+        assert model.p == (0 if dgp == "t3" else {150: 7, 1000: 11}[T])
         n = len(model.residuals)
+        monkeypatch.setattr(unitroot, "_THREAD", threading.local())
         tracemalloc.start()
         try:
-            unitroot._battery_rows(
-                999, n, lambda lo, hi: bt._resample_chunk(model, (0,), range(lo + 1, hi + 1))
-            )
+            keys = bt._seed_keys((0,), range(1, 1000))
+            unitroot._battery_rows(999, n, lambda lo, hi: bt._resample_chunk(model, keys[lo:hi]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -409,13 +420,18 @@ class TestChunking:
 
 
 class TestThreads:
-    def test_two_threads_get_the_serial_bits(self):
-        # each report's chunk loop owns its workspace, so reports running at
-        # once on two threads, through the FFT resampler (lag > 0) and at two
-        # lengths, keep the bits they get one after the other
+    @staticmethod
+    def ma_runs():
+        """A T=150 and a T=1000 MA(1) walk, whose reports take the FFT resampler (lag > 0), with their seeds."""
         rng = np.random.default_rng(33)
         ma = [np.cumsum(u[1:] - 0.8 * u[:-1]) for u in (rng.standard_normal(T + 1) for T in (150, 1000))]
-        runs = [(ma[0], (5, 0)), (ma[1], (5, 1))]
+        return [(ma[0], (5, 0)), (ma[1], (5, 1))]
+
+    def test_two_threads_get_the_serial_bits(self):
+        # each thread's chunk loop works in its own workspace, so reports
+        # running at once on two threads, through the FFT resampler (lag > 0)
+        # and at two lengths, keep the bits they get one after the other
+        runs = self.ma_runs()
         serial = [unit_root_report(y, B=999, seed=seed) for y, seed in runs]
         assert all(rep.stats.lag > 0 for rep in serial)
         start = threading.Barrier(len(runs))
@@ -429,6 +445,25 @@ class TestThreads:
         for want, got in zip(serial, threaded):
             for rep in got:
                 assert rep.stats == want.stats and rep.p_values == want.p_values
+
+    def test_threads_alternating_lengths_get_the_serial_bits(self):
+        # two threads each alternate a T=150 and a T=1000 report, in opposite
+        # orders, so each thread's workspace serves both lengths and grows
+        # between its reports
+        runs = self.ma_runs()
+        serial = [unit_root_report(y, B=999, seed=seed) for y, seed in runs]
+        orders = [runs + runs, runs[::-1] + runs[::-1]]
+        start = threading.Barrier(len(orders))
+
+        def run(order):
+            start.wait()
+            return [unit_root_report(y, B=999, seed=seed) for y, seed in order]
+
+        with ThreadPoolExecutor(len(orders)) as pool:
+            threaded = list(pool.map(run, orders))
+        for got, want in zip(threaded, [serial * 2, serial[::-1] * 2]):
+            for rep, ref in zip(got, want):
+                assert rep.stats == ref.stats and rep.p_values == ref.p_values
 
 
 def walks(lengths, seed=8):

@@ -7,6 +7,7 @@ say whether a reordered or rescaled input keeps its answer.
 import numpy as np
 import pytest
 
+from robustts.bootstrap import unit_root_report
 from robustts.cli import main
 from robustts.tailindex import k_grid, tail_curve
 
@@ -20,11 +21,90 @@ def tailindex_outputs(counts, out):
     return files
 
 
-class TestTailindexCommand:
-    @pytest.fixture()
-    def deaths(self, data_dir):
-        return (data_dir / "counts_deaths.csv").read_bytes()
+def table_output(argv, out):
+    """The table a command writes to ``out``; its ``.manifest`` hashes the inputs, so it is left out."""
+    assert main([*map(str, argv), "--out", str(out)]) == 0
+    return out.read_bytes()
 
+
+@pytest.fixture()
+def deaths(data_dir):
+    return (data_dir / "counts_deaths.csv").read_bytes()
+
+
+class TestUnitrootCommand:
+    @staticmethod
+    def table(counts, out):
+        return table_output(["unitroot", "--counts", counts, "--B", "99", "--seed", "3"], out)
+
+    def test_reversed_country_rows_write_the_same_table(self, deaths, tmp_path):
+        header, *rows = deaths.decode("utf-8").splitlines(keepends=True)
+        (tmp_path / "plain.csv").write_bytes(deaths)
+        reversed_counts = tmp_path / "reversed.csv"
+        reversed_counts.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+        want = self.table(tmp_path / "plain.csv", tmp_path / "plain.out")
+        assert self.table(reversed_counts, tmp_path / "reversed.out") == want
+
+    def test_crlf_line_ends_write_the_same_table(self, deaths, tmp_path):
+        (tmp_path / "plain.csv").write_bytes(deaths)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(deaths.replace(b"\n", b"\r\n"))
+        assert self.table(crlf, tmp_path / "crlf.out") == self.table(tmp_path / "plain.csv", tmp_path / "plain.out")
+
+
+def scaled_prices(prices, out, j):
+    """A copy of the price directory with every ``Adj Close`` multiplied by 2^j, which every return keeps."""
+    out.mkdir()
+    for path in sorted(prices.glob("*.csv")):
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        col = header.split(",").index("Adj Close")
+        lines = [header]
+        for row in rows:
+            fields = row.split(",")
+            if fields[col] != "null":
+                fields[col] = repr(float(fields[col]) * 2.0**j)
+            lines.append(",".join(fields))
+        (out / path.name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+class TestPriceScale:
+    @pytest.mark.parametrize("j", [-60, 1, 60])
+    def test_power_of_two_prices_write_the_same_tables(self, data_dir, tmp_path, j):
+        def tables(prices, tag):
+            counts, rates, factors = (data_dir / name for name in ("counts_infections.csv", "rates.csv", "factors.csv"))
+            return (
+                table_output(["predict", "--counts", counts, "--prices-dir", prices, "--rates", rates],
+                             tmp_path / f"predict_{tag}.csv"),
+                table_output(["factors", "--prices-dir", prices, "--index", "AVX", "--factors", factors],
+                             tmp_path / f"factors_{tag}.csv"),
+            )
+
+        scaled = scaled_prices(data_dir / "prices", tmp_path / "scaled", j)
+        assert tables(scaled, "scaled") == tables(data_dir / "prices", "plain")
+
+
+def walks():
+    """A random walk (lag 0, cumulation alone) and an MA(1) walk (lag > 0, the FFT recolouring)."""
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(301)
+    return {"walk": np.cumsum(rng.standard_normal(150)), "ma": np.cumsum(u[1:] - 0.8 * u[:-1])}
+
+
+class TestUnitRootReportAffine:
+    # the battery is invariant to scale and shift up to rounding, and the
+    # p-values are ranks, so lags and p-values are kept exactly
+    @pytest.mark.parametrize("change", ["2^-60", "2^1", "2^60", "+1e3"])
+    @pytest.mark.parametrize("name", ["walk", "ma"])
+    def test_scale_and_shift_keep_lags_and_p_values(self, name, change):
+        y = walks()[name]
+        z = y + 1e3 if change == "+1e3" else y * 2.0 ** int(change[2:])
+        want, got = unit_root_report(y, B=199, seed=(9,)), unit_root_report(z, B=199, seed=(9,))
+        assert (want.stats.lag > 0) == (name == "ma")
+        assert got.stats.lag == want.stats.lag and got.p_values == want.p_values
+
+
+class TestTailindexCommand:
     def test_reversed_country_rows_write_the_same_curves(self, deaths, tmp_path):
         # reversing the rows also swaps Arcadia's two provinces
         header, *rows = deaths.decode("utf-8").splitlines(keepends=True)

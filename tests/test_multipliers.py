@@ -1,8 +1,8 @@
 """Bit identity of the bootstrap multipliers with numpy's own streams.
 
-``_rademacher_rows`` hashes a chunk's seeds, one shared prefix and a row of
-replicate numbers, in one vectorised pass and lets numpy seed each row's
-``PCG64``; these tests hold every row to
+``_rademacher_rows`` hashes seeds, one shared prefix and a row of replicate
+numbers, in one vectorised pass (``_seed_keys``) and lets numpy seed each
+row's ``PCG64`` from its keys (``_draw_signs``); these tests hold every row to
 ``default_rng(SeedSequence(prefix + (r,))).integers(0, 2, n)``,
 so they need numpy and pytest alone and can run against whatever numpy is
 installed.
@@ -11,7 +11,7 @@ installed.
 import numpy as np
 import pytest
 
-from robustts.bootstrap import DEFAULT_B, _rademacher_rows, rademacher
+from robustts.bootstrap import DEFAULT_B, _draw_signs, _rademacher_rows, _seed_keys, rademacher
 
 EDGE_PARTS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3)
 SIZES = (1, 2, 149, 150, 999)
@@ -81,6 +81,19 @@ def test_chunk_rows_equal_one_seed_calls():
             assert np.concatenate(parts).tobytes() == whole.tobytes()
             for i in rng.choice(len(rs), size=20, replace=False):
                 assert _rademacher_rows(prefix, [rs[i]], n)[0].tobytes() == whole[i].tobytes()
+
+
+def test_keys_hashed_once_give_each_chunk_its_rows():
+    # a report hashes r = 1..B once and each chunk draws from its slice of the keys
+    rng = np.random.default_rng(23)
+    rs = range(1, DEFAULT_B + 1)
+    for i, prefix in enumerate([(0, 5)] + random_seeds(rng, 3)):
+        keys = _seed_keys(prefix, rs)
+        assert keys.shape == (len(rs), 4) and keys.dtype == np.uint64 and keys.flags.c_contiguous
+        cuts = np.sort(rng.choice(np.arange(1, len(rs)), size=7, replace=False))
+        for lo, hi in zip([0, *cuts], [*cuts, len(rs)]):
+            n = SIZES[(i + lo) % len(SIZES)]
+            assert _draw_signs(keys[lo:hi], n).tobytes() == _rademacher_rows(prefix, rs[lo:hi], n).tobytes()
 
 
 @pytest.mark.parametrize("s", [0, 12345])

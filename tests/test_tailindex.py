@@ -139,6 +139,24 @@ class TestKGrid:
             assert k_grid(n, lo, hi, 10**12) == k_grid(n, lo, hi, 2 * n)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("grid, ns", [
+        ((0.025, 0.15, 20), range(40, 5001)),
+        ((0.01, 0.5, 7), range(40, 5001)),
+        ((0.3, 0.3, 5), range(40, 5001)),
+        ((0.1, 1.0, 1), range(40, 5001)),
+        ((0.05, 0.95, 2), range(40, 5001)),
+        ((1 / 3, 2 / 3, 33), range(40, 5001)),
+        ((0.001, 1.0, 150), range(40, 5001)),  # steps > 2n below n = 75
+        ((0.001, 1.0, 10**9), range(40, 5001, 37)),  # steps > 2n at every n
+    ])
+    def test_matches_the_numpy_formula(self, grid, ns):
+        def numpy_grid(n, lo, hi, steps):
+            fracs = np.linspace(lo, hi, min(steps, 2 * n))
+            return tuple(int(k) for k in np.unique(np.clip(np.ceil(fracs * n).astype(int), 2, n - 1)))
+
+        for n in ns:
+            assert k_grid(n, *grid) == numpy_grid(n, *grid), n
+
 
 class TestTailCurve:
     def test_composition(self, rng):

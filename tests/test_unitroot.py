@@ -1,4 +1,6 @@
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -481,9 +483,10 @@ class TestBatteryRows:
 
 
     @pytest.mark.parametrize("T", [25, 40, 150, 1000])
-    def test_each_buffer_is_allocated_once_per_call(self, monkeypatch, rng, T):
-        # the first chunk sizes the workspace and the others, the partial last
-        # one included, write into it: no buffer is allocated twice
+    def test_each_buffer_is_allocated_once_per_thread(self, monkeypatch, rng, T):
+        # a thread's first call sizes its workspace at the first chunk, and
+        # the other chunks, the partial last one included, and every later
+        # call at that length write into it; a new thread makes its own
         allocated = []
 
         class Counting(unitroot._Workspace):
@@ -491,15 +494,28 @@ class TestBatteryRows:
                 before = self.get(name)
                 view = super().__call__(name, *shape)
                 if self[name] is not before:
-                    allocated.append(name)
+                    allocated.append((threading.get_ident(), name))
                 return view
 
         monkeypatch.setattr(unitroot, "_Workspace", Counting)
+        monkeypatch.setattr(unitroot, "_THREAD", threading.local())
         monkeypatch.setattr(unitroot, "CHUNK_BYTES", 5 * row_bytes(T))
         Y = np.cumsum(rng.standard_normal((23, T)), axis=1)
-        out = unitroot._battery_rows(len(Y), T, lambda lo, hi: Y[lo:hi])
-        assert sorted(allocated) == sorted(set(allocated)) == ["A", "P", "U", "V", "g", "s", "sums"]
-        assert bits(out) == bits(_battery_batch(Y, _Workspace()))
+        want = bits(_battery_batch(Y, _Workspace()))
+        names = ["A", "P", "U", "V", "g", "s", "sums"]
+
+        def run():
+            assert bits(unitroot._battery_rows(len(Y), T, lambda lo, hi: Y[lo:hi])) == want
+            return threading.get_ident(), unitroot._THREAD.w
+
+        main = run()
+        assert sorted(name for _, name in allocated) == names
+        assert run()[1] is main[1] and len(allocated) == len(names)
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(run).result()
+        assert other[1] is not main[1]
+        assert sorted(name for ident, name in allocated if ident == other[0]) == names
+        assert len(allocated) == 2 * len(names)
 
 
 def maic_arguments(monkeypatch, Y):
