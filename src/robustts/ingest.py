@@ -11,8 +11,11 @@ Formats (all comma-separated, parsed with the stdlib csv module):
 * factors: ``date,Mkt.RF,SMB,HML,MOM,RMW,CMA,RF`` with ISO dates, values in
   percent per period, converted to fractions on ingest.
 
-Every parse failure raises :class:`~robustts.errors.DataError` naming the
-file, line and field.
+All four are read by one streaming row reader, :func:`_rows`: a file is
+parsed row by row as it is read, so ingest holds one row of text and the
+values parsed so far, never the whole file.  Every parse failure raises
+:class:`~robustts.errors.DataError` naming the file, line and field; of
+several faults, the first in file order is named.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import csv
 import math
 import re
+from array import array
+from contextlib import closing
 from datetime import date as Date
 from datetime import datetime
 
@@ -42,26 +47,28 @@ ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 US_DATE = "(1[0-2]|0[1-9]|[1-9])/(3[01]|[12][0-9]|0[1-9]|[1-9])/([0-9]{2})"
 
 
-def _read_rows(path) -> list[list[str]]:
+def _rows(path):
+    """Yield the header, then ``(line, row)`` for each non-empty row below it, checked to be as wide.
+
+    A read, decode or CSV error, at the header or partway through, becomes a
+    :class:`DataError` naming the file.  Callers hold the generator in
+    ``contextlib.closing``, so the file closes also on an error of their own.
+    """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError("empty file", path=path)
+            yield header
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"expected {len(header)} fields, got {len(row)}", path=path, line=line_no)
+                yield line_no, row
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(str(exc), path=path) from exc
-    if not rows:
-        raise DataError("empty file", path=path)
-    return rows
-
-
-def _data_rows(rows: list[list[str]], path):
-    """``(line, row)`` for each non-empty row below the header, checked to be as wide."""
-    width = len(rows[0])
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise DataError(f"expected {width} fields, got {len(row)}", path=path, line=line_no)
-        yield line_no, row
 
 
 def _parse_date(raw: str, fmt: str, path, line: int, field: str) -> Date:
@@ -90,64 +97,64 @@ def _parse_number(raw: str, path, line: int, field: str) -> float:
 
 def ingest_counts(path) -> dict[str, Series]:
     """Read a wide cumulative-counts file into one Series per country."""
-    rows = _read_rows(path)
-    header = rows[0]
-    if tuple(header[:4]) != COUNTS_FIXED_COLUMNS:
-        raise DataError(
-            f"malformed header, expected leading columns {','.join(COUNTS_FIXED_COLUMNS)}",
-            path=path,
-            line=1,
-            field=",".join(header[:4]),
-        )
-    if len(header) < 5:
-        raise DataError("no date columns", path=path, line=1)
-    dates = [
-        _parse_date(raw, "%m/%d/%y", path, 1, f"column {i + 5}")
-        for i, raw in enumerate(header[4:])
-    ]
-    bad = first_unordered(dates)
-    if bad is not None:
-        raise DataError(
-            f"date columns out of order ({dates[bad - 1]} then {dates[bad]})", path=path, line=1
-        )
-
-    totals: dict[str, np.ndarray] = {}
-    for line_no, row in _data_rows(rows, path):
-        country = row[1].strip()
-        if not country:
-            raise DataError("empty country name", path=path, line=line_no, field="Country/Region")
-        # float is _parse_number's parser; field by field only to name a failure
-        try:
-            values = np.array(list(map(float, row[4:])))
-        except ValueError:
-            values = None
-        if values is None or not np.all(np.isfinite(values)):
-            values = np.array(
-                [
-                    _parse_number(raw, path, line_no, header[4 + i])
-                    for i, raw in enumerate(row[4:])
-                ]
-            )
-        if np.any(values < 0):
-            bad = int(np.argmax(values < 0))
+    with closing(_rows(path)) as rows:
+        header = next(rows)
+        if tuple(header[:4]) != COUNTS_FIXED_COLUMNS:
             raise DataError(
-                f"negative cumulative count {values[bad]}",
+                f"malformed header, expected leading columns {','.join(COUNTS_FIXED_COLUMNS)}",
                 path=path,
-                line=line_no,
-                field=header[4 + bad],
+                line=1,
+                field=",".join(header[:4]),
             )
-        if country in totals:
-            with np.errstate(over="ignore"):
-                values = totals[country] + values
-            if not np.all(np.isfinite(values)):
-                bad = int(np.argmin(np.isfinite(values)))
+        if len(header) < 5:
+            raise DataError("no date columns", path=path, line=1)
+        dates = [
+            _parse_date(raw, "%m/%d/%y", path, 1, f"column {i + 5}")
+            for i, raw in enumerate(header[4:])
+        ]
+        bad = first_unordered(dates)
+        if bad is not None:
+            raise DataError(
+                f"date columns out of order ({dates[bad - 1]} then {dates[bad]})", path=path, line=1
+            )
+
+        totals: dict[str, np.ndarray] = {}
+        for line_no, row in rows:
+            country = row[1].strip()
+            if not country:
+                raise DataError("empty country name", path=path, line=line_no, field="Country/Region")
+            # float is _parse_number's parser; field by field only to name a failure
+            try:
+                values = np.array(list(map(float, row[4:])))
+            except ValueError:
+                values = None
+            if values is None or not np.all(np.isfinite(values)):
+                values = np.array(
+                    [
+                        _parse_number(raw, path, line_no, header[4 + i])
+                        for i, raw in enumerate(row[4:])
+                    ]
+                )
+            if np.any(values < 0):
+                bad = int(np.argmax(values < 0))
                 raise DataError(
-                    f"province sum for {country} overflows",
+                    f"negative cumulative count {values[bad]}",
                     path=path,
                     line=line_no,
                     field=header[4 + bad],
                 )
-        totals[country] = values
+            if country in totals:
+                with np.errstate(over="ignore"):
+                    values = totals[country] + values
+                if not np.all(np.isfinite(values)):
+                    bad = int(np.argmin(np.isfinite(values)))
+                    raise DataError(
+                        f"province sum for {country} overflows",
+                        path=path,
+                        line=line_no,
+                        field=header[4 + bad],
+                    )
+            totals[country] = values
     if not totals:
         raise DataError("no data rows", path=path)
     dates = tuple(dates)
@@ -163,30 +170,31 @@ def _read_table(path, header: tuple[str, ...], columns, empty: str, skip=None) -
     stripped, as finite numbers.  Returns the dates as a tuple and the values as
     one float array with a column per field; with no kept row, ``DataError(empty)``.
     """
-    rows = _read_rows(path)
-    if tuple(rows[0]) != header:
-        raise DataError(
-            f"malformed header, expected {','.join(header)}",
-            path=path,
-            line=1,
-            field=",".join(rows[0]),
-        )
-    dates: list[Date] = []
-    values = []
-    for line_no, row in _data_rows(rows, path):
-        if skip is not None and skip(row):
-            continue
-        d = _parse_date(row[0], "%Y-%m-%d", path, line_no, header[0])
-        if dates and d <= dates[-1]:
+    with closing(_rows(path)) as rows:
+        first = next(rows)
+        if tuple(first) != header:
             raise DataError(
-                f"dates out of order ({dates[-1]} then {d})",
+                f"malformed header, expected {','.join(header)}",
                 path=path,
-                line=line_no,
-                field=header[0],
+                line=1,
+                field=",".join(first),
             )
-        dates.append(d)
-        for c in columns:
-            values.append(_parse_number(row[c].strip(), path, line_no, header[c]))
+        dates: list[Date] = []
+        values = array("d")  # 8 bytes a value; a list would add a float object and a pointer
+        for line_no, row in rows:
+            if skip is not None and skip(row):
+                continue
+            d = _parse_date(row[0], "%Y-%m-%d", path, line_no, header[0])
+            if dates and d <= dates[-1]:
+                raise DataError(
+                    f"dates out of order ({dates[-1]} then {d})",
+                    path=path,
+                    line=line_no,
+                    field=header[0],
+                )
+            dates.append(d)
+            for c in columns:
+                values.append(_parse_number(row[c].strip(), path, line_no, header[c]))
     if not dates:
         raise DataError(empty, path=path)
     return tuple(dates), np.array(values).reshape(len(dates), len(columns))
@@ -210,4 +218,5 @@ def ingest_rates(path) -> Series:
 def ingest_factors(path) -> FactorPanel:
     """Read a daily factor panel; percent values become fractions."""
     dates, values = _read_table(path, FACTORS_HEADER, range(1, len(FACTORS_HEADER)), "no factor rows")
-    return FactorPanel(dates=dates, columns=dict(zip(FACTORS_HEADER[1:], values.T / 100.0)))
+    values /= 100.0  # in place, so the values are not held twice before the panel copies them
+    return FactorPanel(dates=dates, columns=dict(zip(FACTORS_HEADER[1:], values.T)))

@@ -1,8 +1,11 @@
+import csv
+import tracemalloc
 from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
+from robustts import ingest
 from robustts.errors import DataError
 from robustts.ingest import _parse_date, ingest_counts, ingest_factors, ingest_prices, ingest_rates
 from robustts.series import FactorPanel
@@ -178,6 +181,132 @@ def test_byte_order_mark_is_skipped(data_dir, tmp_path, name, read):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
     assert contents(read(bom)) == contents(read(data_dir / name))
+
+
+def wide_counts(rows=300, days=1000, start=date(2020, 1, 22)) -> list[str]:
+    """The lines of a counts file: ``rows`` provinces, two to a country, over ``days`` dates."""
+    dates = [start + timedelta(days=i) for i in range(days)]
+    header = "Province/State,Country/Region,Lat,Long," + ",".join(f"{d.month}/{d.day}/{d:%y}" for d in dates)
+    return [header] + [
+        f"P{r},Land{r // 2:03d},1.5,-2.5," + ",".join(str(37 * r + 11 * i) for i in range(days))
+        for r in range(rows)
+    ]
+
+
+def long_factors(rows=20_000, start=date(1950, 1, 2)) -> list[str]:
+    """The lines of a factors file of ``rows`` days."""
+    return ["date,Mkt.RF,SMB,HML,MOM,RMW,CMA,RF"] + [
+        (start + timedelta(days=r)).isoformat() + ","
+        + ",".join(f"{(7 * r + 31 * c) % 401 / 100 - 2:.2f}" for c in range(7))
+        for r in range(rows)
+    ]
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def listed_rows(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return list(csv.reader(fh))
+
+
+class TestStreaming:
+    # a reader holds one row's strings at a time besides the values it parsed,
+    # so it peaks far below a list of every row
+    @pytest.mark.parametrize("lines, read", [
+        (wide_counts, ingest_counts),
+        (long_factors, ingest_factors),
+    ], ids=("counts", "factors"))
+    def test_traced_peak_under_a_third_of_every_row_listed(self, tmp_path, lines, read):
+        p = write(tmp_path, "big.csv", "\n".join(lines()) + "\n")
+        read(p)  # first-use caches (regular expressions, codecs) are not the reader's
+        listed = traced_peak(lambda: listed_rows(p))
+        assert traced_peak(lambda: read(p)) < listed / 3
+
+    def test_earlier_fault_named_before_a_later_bad_byte(self, tmp_path):
+        # a negative count on line 3 and, about 200 KB on, a byte that is not UTF-8
+        lines = wide_counts(rows=200, days=200, start=date(2020, 1, 1))
+        lines[2] = lines[2].replace(",1.5,-2.5,37,", ",1.5,-2.5,-1,")
+        data = "\n".join(lines).encode("utf-8") + b"\n,Land\xff,0,0" + b",1" * 200 + b"\n"
+        assert data.index(b"\xff") > 200_000
+        p = tmp_path / "c.csv"
+        p.write_bytes(data)
+        with pytest.raises(DataError) as err:
+            ingest_counts(p)
+        assert str(err.value) == f"file {p}, line 3, field '1/1/20': negative cumulative count -1.0"
+
+    def test_bad_byte_in_the_first_row_is_a_decode_error(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_bytes(f"{COUNTS_HEADER}\xff\n,X,0,0,1,2\n,Y,0,0,3,-4\n".encode("latin-1"))
+        with pytest.raises(DataError, match="'utf-8' codec can't decode byte 0xff") as err:
+            ingest_counts(p)
+        assert (err.value.path, err.value.line, err.value.field) == (p, None, None)
+
+
+@pytest.mark.parametrize("read, header, no_rows", [
+    (ingest_counts, COUNTS_HEADER, "no data rows"),
+    (ingest_prices, "Date,Open,High,Low,Close,Adj Close,Volume", "no usable price rows"),
+    (ingest_rates, "date,rate_pct", "no rate rows"),
+    (ingest_factors, "date,Mkt.RF,SMB,HML,MOM,RMW,CMA,RF", "no factor rows"),
+], ids=("counts", "prices", "rates", "factors"))
+def test_empty_and_header_only_files(tmp_path, read, header, no_rows):
+    for text, message in (("", "empty file"), (f"{header}\n\n", no_rows)):
+        p = write(tmp_path, "e.csv", text)
+        with pytest.raises(DataError) as err:
+            read(p)
+        assert str(err.value) == f"file {p}: {message}"
+
+
+class TestFileHandles:
+    # the reader is a generator suspended inside its ``with open``; each file
+    # must close when the read ends, not when a traceback that still holds the
+    # generator is collected, so every check runs while ``err`` is alive
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        handles = []
+
+        def tracked_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(ingest, "open", tracked_open, raising=False)
+        return handles
+
+    @pytest.mark.parametrize("read, name", [
+        (ingest_counts, "counts_infections.csv"),
+        (ingest_prices, "prices/Arcadia_AVX.csv"),
+        (ingest_rates, "rates.csv"),
+        (ingest_factors, "factors.csv"),
+    ], ids=("counts", "prices", "rates", "factors"))
+    def test_closed_after_a_read(self, data_dir, opened, read, name):
+        read(data_dir / name)
+        assert len(opened) == 1 and opened[0].closed
+
+    @pytest.mark.parametrize("data, message", [
+        (b"State,Country,Lat,Long,1/22/20\n,X,0,0,1\n,Y,0,0,2\n", "malformed header"),
+        (f"{COUNTS_HEADER}\n,X,0,0,1,2\n,Y,0,0,3,oops\n,Z,0,0,5,6\n".encode(), "line 3, field '1/23/20'"),
+        ("\n".join(wide_counts(rows=50)).encode() + b"\n,\xff,0,0" + b",1" * 1000 + b"\n", "can't decode byte 0xff"),
+    ], ids=("malformed-header", "bad-number-on-line-3", "read-error-partway"))
+    def test_closed_after_an_error(self, tmp_path, opened, data, message):
+        p = tmp_path / "c.csv"
+        p.write_bytes(data)
+        with pytest.raises(DataError, match=message) as err:
+            ingest_counts(p)
+        assert err.value.path == p
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_closed_after_a_table_error(self, tmp_path, opened):
+        p = write(tmp_path, "r.csv", "date,rate_pct\n2020-01-02,1.5\n2020-01-03,zzz\n2020-01-06,2\n")
+        with pytest.raises(DataError, match="line 3, field 'rate_pct'") as err:
+            ingest_rates(p)
+        assert err.value.path == p
+        assert len(opened) == 1 and opened[0].closed
 
 
 class TestIngestFactors:

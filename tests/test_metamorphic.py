@@ -11,6 +11,8 @@ from robustts.bootstrap import unit_root_report
 from robustts.cli import main
 from robustts.tailindex import k_grid, tail_curve
 
+BOM = b"\xef\xbb\xbf"  # what spreadsheet programs put before "CSV UTF-8"
+
 
 def tailindex_outputs(counts, out):
     """The curve files ``tailindex`` writes for ``counts``, by name; ``run.manifest`` hashes the input, so it
@@ -51,6 +53,12 @@ class TestUnitrootCommand:
         crlf.write_bytes(deaths.replace(b"\n", b"\r\n"))
         assert self.table(crlf, tmp_path / "crlf.out") == self.table(tmp_path / "plain.csv", tmp_path / "plain.out")
 
+    def test_byte_order_mark_writes_the_same_table(self, deaths, tmp_path):
+        (tmp_path / "plain.csv").write_bytes(deaths)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(BOM + deaths)
+        assert self.table(bom, tmp_path / "bom.out") == self.table(tmp_path / "plain.csv", tmp_path / "plain.out")
+
 
 def scaled_prices(prices, out, j):
     """A copy of the price directory with every ``Adj Close`` multiplied by 2^j, which every return keeps."""
@@ -66,6 +74,35 @@ def scaled_prices(prices, out, j):
             lines.append(",".join(fields))
         (out / path.name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
+
+
+class TestLongFormatEncodings:
+    # CRLF line ends and a UTF-8 byte-order mark, as spreadsheet programs save
+    # CSV, on every price file, rates.csv and factors.csv at once
+    @pytest.mark.parametrize("change", [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: BOM + data,
+    ], ids=("crlf", "bom"))
+    def test_predict_and_factors_write_the_same_tables(self, data_dir, tmp_path, change):
+        def tables(inputs, tag):
+            counts = data_dir / "counts_infections.csv"
+            prices, rates, factors = inputs / "prices", inputs / "rates.csv", inputs / "factors.csv"
+            return (
+                table_output(["predict", "--counts", counts, "--prices-dir", prices, "--rates", rates],
+                             tmp_path / f"predict_{tag}.csv"),
+                table_output(["factors", "--prices-dir", prices, "--index", "AVX", "--factors", factors],
+                             tmp_path / f"factors_{tag}.csv"),
+            )
+
+        changed = tmp_path / "changed"
+        (changed / "prices").mkdir(parents=True)
+        names = [f"prices/{p.name}" for p in sorted((data_dir / "prices").glob("*.csv"))]
+        assert len(names) == 2
+        for name in (*names, "rates.csv", "factors.csv"):
+            data = (data_dir / name).read_bytes()
+            assert change(data) != data
+            (changed / name).write_bytes(change(data))
+        assert tables(changed, "changed") == tables(data_dir, "plain")
 
 
 class TestPriceScale:
@@ -120,6 +157,12 @@ class TestTailindexCommand:
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(deaths.replace(b"\n", b"\r\n"))
         assert tailindex_outputs(crlf, tmp_path / "crlf") == tailindex_outputs(tmp_path / "plain.csv", tmp_path / "plain")
+
+    def test_byte_order_mark_writes_the_same_curves(self, deaths, tmp_path):
+        (tmp_path / "plain.csv").write_bytes(deaths)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(BOM + deaths)
+        assert tailindex_outputs(bom, tmp_path / "bom") == tailindex_outputs(tmp_path / "plain.csv", tmp_path / "plain")
 
 
 class TestTailCurveScale:
